@@ -31,11 +31,12 @@ configuration.  CLI flags override file values.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .dataset import DEFAULT_VEHICLES, KINEMATIC_GRID, SURROGATE_GRID
+from .dataset import DEFAULT_VEHICLES, KINEMATIC_GRID, SOURCES, SURROGATE_GRID
 from .dimensions import VariableDecl, variables_from_config
+from .features import SCHEME_NAMES
 from .gbt import GbtConfig
 from .simulator import VehicleSpec
 
@@ -77,6 +78,28 @@ def _axis_triplet(text: str) -> tuple[float, float, int]:
     return (float(vals[0]), float(vals[1]), int(vals[2]))
 
 
+# [section] key -> (field, value parser): GbtConfig fields for [gbt],
+# RunConfig fields for the other sections
+_FIELDS = {
+    "run": {
+        "source": ("source", str), "scheme": ("scheme", str), "seed": ("seed", int), "out": ("out_dir", Path),
+    },
+    "gbt": {
+        "rounds": ("n_rounds", int), "lr": ("learning_rate", float), "depth": ("max_depth", int),
+        "min_samples_leaf": ("min_samples_leaf", int), "subsample": ("subsample", float),
+        "seed": ("seed", int),
+    },
+    "curve": {"fractions": ("fractions", _floats), "repeats": ("repeats", int)},
+    "compare": {"target": ("target_vehicle", str), "output": ("target_output", str)},
+}
+
+# the keys each section accepts; None marks free-form names
+SECTION_KEYS = {
+    **_FIELDS, "grid.kinematic": KINEMATIC_GRID, "grid.surrogate": SURROGATE_GRID,
+    "vehicles": None, "variables": None,
+}
+
+
 def parse_vehicles(section: dict[str, str]) -> dict[str, VehicleSpec]:
     out = {}
     for name, text in section.items():
@@ -88,7 +111,11 @@ def parse_vehicles(section: dict[str, str]) -> dict[str, VehicleSpec]:
 
 
 def load_run_config(path: str | Path | None = None) -> RunConfig:
-    """Read a config file into a RunConfig; missing keys keep their defaults."""
+    """Read a config file into a RunConfig; missing keys keep their defaults.
+
+    Unknown sections or keys, and a ``source`` or ``scheme`` the package
+    does not implement, raise ``ValueError`` naming the file and the key.
+    """
     cfg = RunConfig()
     if path is None:
         return cfg
@@ -97,34 +124,31 @@ def load_run_config(path: str | Path | None = None) -> RunConfig:
     read = parser.read(path)
     if not read:
         raise FileNotFoundError(f"config file not found: {path}")
+    if parser.defaults():
+        raise ValueError(f"config {path}: unknown section [{parser.default_section}]")
+    for section in parser.sections():
+        if section not in SECTION_KEYS:
+            raise ValueError(f"config {path}: unknown section [{section}]")
+        allowed = SECTION_KEYS[section]
+        for key in parser[section]:
+            if allowed is not None and key not in allowed:
+                raise ValueError(
+                    f"config {path}: unknown key {key!r} in [{section}]; expected one of {tuple(allowed)}"
+                )
 
-    if parser.has_section("run"):
-        run = parser["run"]
-        cfg.source = run.get("source", cfg.source)
-        cfg.scheme = run.get("scheme", cfg.scheme)
-        cfg.seed = run.getint("seed", cfg.seed)
-        cfg.out_dir = Path(run.get("out", str(cfg.out_dir)))
-    if parser.has_section("gbt"):
-        g = parser["gbt"]
-        cfg.gbt = GbtConfig(
-            n_rounds=g.getint("rounds", cfg.gbt.n_rounds),
-            learning_rate=g.getfloat("lr", cfg.gbt.learning_rate),
-            max_depth=g.getint("depth", cfg.gbt.max_depth),
-            min_samples_leaf=g.getint("min_samples_leaf", cfg.gbt.min_samples_leaf),
-            subsample=g.getfloat("subsample", cfg.gbt.subsample),
-            seed=g.getint("seed", cfg.gbt.seed),
-        )
+    for section, fields in _FIELDS.items():
+        if parser.has_section(section):
+            values = {fields[key][0]: fields[key][1](text) for key, text in parser[section].items()}
+            if section == "gbt":
+                cfg.gbt = replace(cfg.gbt, **values)
+            else:
+                for name, value in values.items():
+                    setattr(cfg, name, value)
+    for key, value, choices in (("source", cfg.source, SOURCES), ("scheme", cfg.scheme, SCHEME_NAMES)):
+        if value not in choices:
+            raise ValueError(f"config {path}: [run] {key} = {value!r} is not one of {choices}")
     if parser.has_section("vehicles"):
         cfg.vehicles = parse_vehicles(dict(parser["vehicles"]))
-    if parser.has_section("curve"):
-        c = parser["curve"]
-        if "fractions" in c:
-            cfg.fractions = _floats(c["fractions"])
-        cfg.repeats = c.getint("repeats", cfg.repeats)
-    if parser.has_section("compare"):
-        c = parser["compare"]
-        cfg.target_vehicle = c.get("target", cfg.target_vehicle)
-        cfg.target_output = c.get("output", cfg.target_output)
     if parser.has_section("grid.kinematic"):
         for key, text in parser["grid.kinematic"].items():
             cfg.kinematic_grid[key] = _axis_triplet(text)

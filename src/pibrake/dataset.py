@@ -13,7 +13,9 @@ float fields round-trip exactly through ``repr``.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+import math
+from dataclasses import astuple, dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -56,9 +58,24 @@ SURROGATE_GRID = {
 }
 
 
+# Dataset.columns() keys, in CSV order; the vehicle geometry (l, Nf, Nr)
+# comes from the vehicle table, every other column is stored per row
+FLOAT_COLUMNS = tuple(CSV_HEADER[1:-1])
+VEHICLE_COLUMNS = ("l", "Nf", "Nr")
+ROW_COLUMNS = tuple(c for c in FLOAT_COLUMNS if c not in VEHICLE_COLUMNS)
+
+# the per-row conditions of ManeuverInput and FinalPose, checked over whole columns
+_ROW_CHECKS = (
+    ("v_i", lambda v: v > 0, "initial speed must be positive"),
+    ("delta", lambda d: np.abs(d) < math.pi / 2, "steering angle must satisfy |delta| < pi/2"),
+    ("g", lambda g: g > 0, "gravity must be positive"),
+    *((name, np.isfinite, f"non-finite final pose {name}") for name in ("X", "Y", "theta")),
+)
+
+
 @dataclass(frozen=True)
 class ManeuverRecord:
-    """One simulated maneuver: vehicle, inputs, and resulting final pose."""
+    """A view of one maneuver: vehicle, inputs, and resulting final pose."""
 
     vehicle: VehicleSpec
     inputs: ManeuverInput
@@ -67,64 +84,128 @@ class ManeuverRecord:
 
     def key(self) -> tuple:
         """Identity of the underlying experiment, for leakage audits."""
-        return (self.vehicle.name, self.inputs.v_i, self.inputs.a, self.inputs.delta, self.inputs.mu)
+        v, i = self.vehicle, self.inputs
+        return (v.name, v.wheelbase_l, v.front_normal_Nf, v.rear_normal_Nr, i.v_i, i.a, i.delta, i.mu, i.g)
 
 
-@dataclass
+def _one_source(sources: Iterable[str]) -> str | None:
+    kinds = sorted(set(sources))
+    if len(kinds) > 1:
+        raise ValueError(f"dataset mixes sources {kinds}")
+    return kinds[0] if kinds else None
+
+
 class Dataset:
-    """An immutable collection of maneuver records from a single source."""
+    """Maneuvers from a single source, stored as numpy columns.
 
-    records: tuple[ManeuverRecord, ...]
-    provenance: str = ""
-    seed: int | None = None
-    _cols: dict = field(default=None, init=False, repr=False, compare=False)
+    ``vehicles`` lists each distinct vehicle once and ``vehicle_index`` maps
+    every row to its entry.  :meth:`columns` holds the float fields named in
+    ``FLOAT_COLUMNS``, with ``mu`` NaN where a maneuver has none.  Rows
+    exist as :class:`ManeuverRecord` objects only when :attr:`records` or
+    iteration builds them.
+    """
 
-    def __post_init__(self):
-        self.records = tuple(self.records)
-        sources = {r.source for r in self.records}
-        if len(sources) > 1:
-            raise ValueError(f"dataset mixes sources {sorted(sources)}")
-        if sources and next(iter(sources)) not in SOURCES:
-            raise ValueError(f"unknown source {sources!r}")
+    def __init__(self, records: Iterable[ManeuverRecord] = (), provenance: str = ""):
+        records = tuple(records)
+        table: dict[VehicleSpec, int] = {}
+        index = [table.setdefault(r.vehicle, len(table)) for r in records]
+        # ManeuverInput and FinalPose fields are ROW_COLUMNS in order; None -> NaN
+        rows = [astuple(r.inputs) + astuple(r.outcome) for r in records]
+        values = np.array(rows, dtype=float).reshape(len(rows), len(ROW_COLUMNS))
+        self._assign(
+            tuple(table),
+            np.array(index, dtype=np.intp),
+            dict(zip(ROW_COLUMNS, values.T.copy())),
+            _one_source(r.source for r in records),
+            provenance,
+        )
+
+    @classmethod
+    def from_columns(
+        cls,
+        vehicles: Sequence[VehicleSpec],
+        vehicle_index: np.ndarray,
+        columns: dict[str, np.ndarray],
+        source: str | None,
+        provenance: str = "",
+    ) -> Dataset:
+        """Build a dataset from the ``ROW_COLUMNS`` arrays, checking every row."""
+        d = cls.__new__(cls)
+        d._assign(tuple(vehicles), np.asarray(vehicle_index, dtype=np.intp), columns, source, provenance)
+        return d
+
+    def _assign(self, vehicles, vehicle_index, columns, source, provenance) -> None:
+        if len(vehicle_index) and source not in SOURCES:
+            raise ValueError(f"unknown source {source!r}")
+        c = {name: np.asarray(columns[name], dtype=float) for name in ROW_COLUMNS}
+        for name, ok, what in _ROW_CHECKS:
+            bad = ~ok(c[name])
+            if bad.any():
+                raise ValueError(f"{what}, got {c[name][bad][0]}")
+        geometry = np.array(
+            [(v.wheelbase_l, v.front_normal_Nf, v.rear_normal_Nr) for v in vehicles], dtype=float
+        ).reshape(-1, 3)[vehicle_index]
+        c.update(zip(VEHICLE_COLUMNS, geometry.T.copy()))
+        self.vehicles = vehicles
+        self.vehicle_index = vehicle_index
+        self.provenance = provenance
+        self._source = source if len(vehicle_index) else None
+        self._columns = {name: c[name] for name in FLOAT_COLUMNS}
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.vehicle_index)
 
     def __iter__(self) -> Iterator[ManeuverRecord]:
         return iter(self.records)
 
     @property
     def source(self) -> str:
-        if not self.records:
+        if self._source is None:
             raise ValueError("empty dataset has no source")
-        return self.records[0].source
+        return self._source
 
-    def vehicles(self) -> list[str]:
-        seen = dict.fromkeys(r.vehicle.name for r in self.records)
-        return list(seen)
+    @property
+    def records(self) -> tuple[ManeuverRecord, ...]:
+        """Every row as a :class:`ManeuverRecord`, built anew on each access."""
+        c = self._columns
+        return tuple(
+            ManeuverRecord(
+                self.vehicles[k],
+                ManeuverInput(v_i, a, delta, None if math.isnan(mu) else mu, g),
+                FinalPose(x, y, theta),
+                self._source,
+            )
+            for k, v_i, a, delta, mu, g, x, y, theta in zip(
+                self.vehicle_index.tolist(), *(c[name].tolist() for name in ROW_COLUMNS)
+            )
+        )
+
+    def keys(self) -> list[tuple]:
+        """:meth:`ManeuverRecord.key` of every row, built from the columns."""
+        c = self._columns
+        names = [self.vehicles[k].name for k in self.vehicle_index.tolist()]
+        mu = [None if math.isnan(m) else m for m in c["mu"].tolist()]
+        fields = ("l", "Nf", "Nr", "v_i", "a", "delta")
+        return list(zip(names, *(c[f].tolist() for f in fields), mu, c["g"].tolist()))
 
     def columns(self) -> dict[str, np.ndarray]:
-        """Record fields as numpy columns (cached; do not mutate)."""
-        if self._cols is None:
-            recs = self.records
-            self._cols = {
-                "v_i": np.array([r.inputs.v_i for r in recs]),
-                "a": np.array([r.inputs.a for r in recs]),
-                "delta": np.array([r.inputs.delta for r in recs]),
-                "mu": np.array([np.nan if r.inputs.mu is None else r.inputs.mu for r in recs]),
-                "g": np.array([r.inputs.g for r in recs]),
-                "l": np.array([r.vehicle.wheelbase_l for r in recs]),
-                "Nf": np.array([r.vehicle.front_normal_Nf for r in recs]),
-                "Nr": np.array([r.vehicle.rear_normal_Nr for r in recs]),
-                "X": np.array([r.outcome.X for r in recs]),
-                "Y": np.array([r.outcome.Y for r in recs]),
-                "theta": np.array([r.outcome.theta for r in recs]),
-            }
-        return self._cols
+        """The float fields as numpy columns (shared storage; do not mutate)."""
+        return self._columns
+
+    def take(self, rows: np.ndarray, provenance: str) -> Dataset:
+        """The dataset of the given row indices, in that order."""
+        return Dataset.from_columns(
+            self.vehicles,
+            self.vehicle_index[rows],
+            {name: self._columns[name][rows] for name in ROW_COLUMNS},
+            self._source,
+            provenance,
+        )
 
 
-def _axis(start: float, stop: float, count: int) -> np.ndarray:
-    return np.linspace(start, stop, count)
+def _product(axes: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Flattened Cartesian product of the axes, the first one outermost."""
+    return dict(zip(axes, (m.ravel() for m in np.meshgrid(*axes.values(), indexing="ij"))))
 
 
 def kinematic_grid(
@@ -138,22 +219,20 @@ def kinematic_grid(
     if step is None:
         step = calibrate_step(vehicle)
     grid = grid or KINEMATIC_GRID
-    v_vals = _axis(*grid["v_i"])
-    a_vals = -STANDARD_GRAVITY * _axis(*grid["a_g"])
-    d_vals = _axis(*grid["delta"])
-    vv, aa, dd = np.meshgrid(v_vals, a_vals, d_vals, indexing="ij")
-    v_flat, a_flat, d_flat = vv.ravel(), aa.ravel(), dd.ravel()
-    X, Y, TH = simulate_kinematic_batch(vehicle.wheelbase_l, v_flat, a_flat, d_flat, step)
-    records = tuple(
-        ManeuverRecord(
-            vehicle,
-            ManeuverInput(v_i=float(v_flat[i]), a=float(a_flat[i]), delta=float(d_flat[i])),
-            FinalPose(float(X[i]), float(Y[i]), float(TH[i])),
-            "kinematic",
-        )
-        for i in range(len(v_flat))
+    c = _product(
+        {
+            "v_i": np.linspace(*grid["v_i"]),
+            "a": -STANDARD_GRAVITY * np.linspace(*grid["a_g"]),
+            "delta": np.linspace(*grid["delta"]),
+        }
     )
-    return Dataset(records, provenance=f"kinematic grid, vehicle={vehicle.name}, step={step}")
+    n = len(c["v_i"])
+    c["mu"], c["g"] = np.full(n, math.nan), np.full(n, STANDARD_GRAVITY)
+    c["X"], c["Y"], c["theta"] = simulate_kinematic_batch(
+        vehicle.wheelbase_l, c["v_i"], c["a"], c["delta"], step
+    )
+    provenance = f"kinematic grid, vehicle={vehicle.name}, step={step}"
+    return Dataset.from_columns((vehicle,), np.zeros(n, dtype=np.intp), c, "kinematic", provenance)
 
 
 def surrogate_grid(
@@ -165,28 +244,21 @@ def surrogate_grid(
     Deceleration levels are stored as negative (braking) values.
     """
     grid = grid or SURROGATE_GRID
-    mu_vals = np.array(grid["mu"])
-    v_vals = _axis(*grid["v_i"])
-    a_vals = -STANDARD_GRAVITY * _axis(*grid["a_g"])
-    d_vals = np.array(grid["delta"])
-    mm, vv, aa, dd = np.meshgrid(mu_vals, v_vals, a_vals, d_vals, indexing="ij")
-    m_flat, v_flat, a_flat, d_flat = mm.ravel(), vv.ravel(), aa.ravel(), dd.ravel()
-    g_flat = np.full(len(v_flat), STANDARD_GRAVITY)
-    X, Y, TH = simulate_surrogate_batch(
-        vehicle, m_flat, v_flat, a_flat, d_flat, g_flat, seed, step=step
+    c = _product(
+        {
+            "mu": np.array(grid["mu"]),
+            "v_i": np.linspace(*grid["v_i"]),
+            "a": -STANDARD_GRAVITY * np.linspace(*grid["a_g"]),
+            "delta": np.array(grid["delta"]),
+        }
     )
-    records = tuple(
-        ManeuverRecord(
-            vehicle,
-            ManeuverInput(
-                v_i=float(v_flat[i]), a=float(a_flat[i]), delta=float(d_flat[i]), mu=float(m_flat[i])
-            ),
-            FinalPose(float(X[i]), float(Y[i]), float(TH[i])),
-            "surrogate",
-        )
-        for i in range(len(v_flat))
+    n = len(c["v_i"])
+    c["g"] = np.full(n, STANDARD_GRAVITY)
+    c["X"], c["Y"], c["theta"] = simulate_surrogate_batch(
+        vehicle, c["mu"], c["v_i"], c["a"], c["delta"], c["g"], seed, step=step
     )
-    return Dataset(records, provenance=f"surrogate grid, vehicle={vehicle.name}, seed={seed}", seed=seed)
+    provenance = f"surrogate grid, vehicle={vehicle.name}, seed={seed}"
+    return Dataset.from_columns((vehicle,), np.zeros(n, dtype=np.intp), c, "surrogate", provenance)
 
 
 def split(d: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -196,91 +268,67 @@ def split(d: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Datase
     n = len(d)
     n_train = int(round(train_fraction * n))
     perm = np.random.default_rng(seed).permutation(n)
-    train_idx = np.sort(perm[:n_train])
-    test_idx = np.sort(perm[n_train:])
-    train = Dataset(
-        tuple(d.records[i] for i in train_idx),
-        provenance=f"{d.provenance} [train {train_fraction} seed {seed}]",
-        seed=d.seed,
-    )
-    test = Dataset(
-        tuple(d.records[i] for i in test_idx),
-        provenance=f"{d.provenance} [test {1 - train_fraction} seed {seed}]",
-        seed=d.seed,
-    )
+    train = d.take(np.sort(perm[:n_train]), f"{d.provenance} [train {train_fraction} seed {seed}]")
+    test = d.take(np.sort(perm[n_train:]), f"{d.provenance} [test {1 - train_fraction} seed {seed}]")
     return train, test
 
 
 def merge(datasets: Sequence[Dataset]) -> Dataset:
-    """Concatenate datasets of the same source kind, keeping record order."""
+    """Concatenate datasets of the same source kind, keeping row order."""
     if not datasets:
         raise ValueError("nothing to merge")
     kinds = {d.source for d in datasets}
     if len(kinds) > 1:
         raise ValueError(f"cannot merge mixed sources {sorted(kinds)}")
-    records = tuple(r for d in datasets for r in d.records)
+    table: dict[VehicleSpec, int] = {}
+    index = np.concatenate(
+        [
+            np.array([table.setdefault(v, len(table)) for v in d.vehicles], dtype=np.intp)[d.vehicle_index]
+            for d in datasets
+        ]
+    )
+    columns = {name: np.concatenate([d.columns()[name] for d in datasets]) for name in ROW_COLUMNS}
     provenance = " + ".join(d.provenance for d in datasets)
-    return Dataset(records, provenance=f"merged({provenance})")
+    return Dataset.from_columns(table, index, columns, kinds.pop(), provenance=f"merged({provenance})")
 
 
 def save_csv(d: Dataset, path: str | Path) -> Path:
-    """Write records to CSV; floats are written with full `repr` precision."""
+    """Write the rows to CSV; floats are written with full `repr` precision."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    c = d.columns()
+    text = {name: list(map(repr, c[name].tolist())) for name in FLOAT_COLUMNS}
+    text["mu"] = ["" if math.isnan(mu) else repr(mu) for mu in c["mu"].tolist()]
+    names = [d.vehicles[k].name for k in d.vehicle_index.tolist()]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(CSV_HEADER)
-        for r in d.records:
-            w.writerow(
-                [
-                    r.vehicle.name,
-                    repr(r.inputs.v_i),
-                    repr(r.inputs.a),
-                    repr(r.inputs.delta),
-                    "" if r.inputs.mu is None else repr(r.inputs.mu),
-                    repr(r.inputs.g),
-                    repr(r.vehicle.wheelbase_l),
-                    repr(r.vehicle.front_normal_Nf),
-                    repr(r.vehicle.rear_normal_Nr),
-                    repr(r.outcome.X),
-                    repr(r.outcome.Y),
-                    repr(r.outcome.theta),
-                    r.source,
-                ]
-            )
+        w.writerows(zip(names, *(text[name] for name in FLOAT_COLUMNS), repeat(d._source)))
     return path
 
 
 def load_csv(path: str | Path) -> Dataset:
     """Read a dataset written by :func:`save_csv`; round-trips bit-exactly."""
     path = Path(path)
-    vehicles: dict[tuple, VehicleSpec] = {}
-    records = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header != CSV_HEADER:
             raise ValueError(f"unexpected CSV header in {path}: {header}")
-        for row in reader:
-            (name, v_i, a, delta, mu, g, l, nf, nr, x, y, theta, source) = row
-            vkey = (name, l, nf, nr)
-            if vkey not in vehicles:
-                vehicles[vkey] = VehicleSpec(name, float(l), float(nf), float(nr))
-            records.append(
-                ManeuverRecord(
-                    vehicles[vkey],
-                    ManeuverInput(
-                        v_i=float(v_i),
-                        a=float(a),
-                        delta=float(delta),
-                        mu=None if mu == "" else float(mu),
-                        g=float(g),
-                    ),
-                    FinalPose(float(x), float(y), float(theta)),
-                    source,
-                )
-            )
-    return Dataset(tuple(records), provenance=f"loaded from {path.name}")
+        rows = list(reader)
+    for line, row in enumerate(rows, start=2):
+        if len(row) != len(CSV_HEADER):
+            raise ValueError(f"{path}, line {line}: expected {len(CSV_HEADER)} fields, got {len(row)}")
+    fields = dict(zip(CSV_HEADER, zip(*rows))) if rows else dict.fromkeys(CSV_HEADER, ())
+    table: dict[tuple, int] = {}
+    vehicle_fields = zip(*(fields[f] for f in ("vehicle", "l", "Nf", "Nr")))
+    index = [table.setdefault(k, len(table)) for k in vehicle_fields]
+    vehicles = [VehicleSpec(name, float(l), float(nf), float(nr)) for name, l, nf, nr in table]
+    columns = {name: np.array([float(t) for t in fields[name]]) for name in ROW_COLUMNS if name != "mu"}
+    columns["mu"] = np.array([float(t) if t else math.nan for t in fields["mu"]])
+    return Dataset.from_columns(
+        vehicles, index, columns, _one_source(fields["source"]), provenance=f"loaded from {path.name}"
+    )
 
 
 def generate(

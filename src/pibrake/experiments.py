@@ -24,7 +24,6 @@ from . import gbt
 from .dataset import Dataset, merge, split
 from .features import Pipeline, SCHEME_NAMES, make_pipeline
 from .gbt import Ensemble, GbtConfig
-from .simulator import FinalPose
 
 MERGED = "MERGED"
 
@@ -33,6 +32,12 @@ KINDS = ("self", "cross", "shared")
 OUTPUT_COLUMNS = {"X": 0, "Y": 1, "theta": 2}
 
 TRAIN_FRACTION = 0.8
+
+
+def _cell_kind(model_vehicle: str, data_vehicle: str) -> str:
+    if model_vehicle == MERGED:
+        return "shared"
+    return "self" if model_vehicle == data_vehicle else "cross"
 
 
 @dataclass(frozen=True)
@@ -47,13 +52,7 @@ class PredictionCell:
     kind: str
 
     def __post_init__(self):
-        expected = (
-            "shared"
-            if self.model_vehicle == MERGED
-            else "self"
-            if self.model_vehicle == self.data_vehicle
-            else "cross"
-        )
+        expected = _cell_kind(self.model_vehicle, self.data_vehicle)
         if self.kind != expected:
             raise ValueError(
                 f"cell ({self.model_vehicle}, {self.data_vehicle}) must be kind {expected!r}"
@@ -86,28 +85,18 @@ class ExperimentReport:
         return [c for c in self.cells if c.kind == kind]
 
 
-def mae(
-    actual: Sequence[FinalPose] | np.ndarray, predicted: Sequence[FinalPose] | np.ndarray
-) -> tuple[float, float, float]:
-    """Per-output mean absolute error between two equal-length pose lists."""
-    a = _pose_array(actual)
-    p = _pose_array(predicted)
+def mae(actual: np.ndarray, predicted: np.ndarray) -> tuple[float, float, float]:
+    """Per-output mean absolute error between two (n, 3) pose arrays."""
+    a = np.asarray(actual, dtype=float)
+    p = np.asarray(predicted, dtype=float)
     if a.shape != p.shape:
         raise ValueError(f"length mismatch: {a.shape} vs {p.shape}")
+    if a.ndim != 2 or a.shape[1] != 3:
+        raise ValueError(f"expected (n, 3) poses, got {a.shape}")
     if a.shape[0] == 0:
         raise ValueError("empty pose lists")
     err = np.abs(a - p).mean(axis=0)
     return (float(err[0]), float(err[1]), float(err[2]))
-
-
-def _pose_array(poses) -> np.ndarray:
-    if isinstance(poses, np.ndarray):
-        arr = np.asarray(poses, dtype=float)
-    else:
-        arr = np.array([(p.X, p.Y, p.theta) for p in poses], dtype=float).reshape(-1, 3)
-    if arr.ndim != 2 or arr.shape[1] != 3:
-        raise ValueError(f"expected (n, 3) poses, got {arr.shape}")
-    return arr
 
 
 def audit_no_leakage(
@@ -115,28 +104,32 @@ def audit_no_leakage(
 ) -> list[tuple[str, str]]:
     """Return every (model, test vehicle) pair whose data overlaps."""
     violations = []
-    train_keys = {m: {r.key() for r in d} for m, d in train_by_model.items()}
+    train_keys = {m: set(d.keys()) for m, d in train_by_model.items()}
     for v, test in test_by_vehicle.items():
-        test_keys = {r.key() for r in test}
+        test_keys = set(test.keys())
         for m, keys in train_keys.items():
             if keys & test_keys:
                 violations.append((m, v))
     return violations
 
 
-def _fit_model(scheme: str, train: Dataset, cfg: GbtConfig) -> tuple[Pipeline, tuple[Ensemble, ...]]:
+def _fit_model(
+    scheme: str, train: Dataset, cfg: GbtConfig, outputs: Sequence[int] = (0, 1, 2)
+) -> tuple[Pipeline, tuple[Ensemble, ...]]:
+    """One ensemble per requested target column j, seeded ``cfg.seed + j``."""
     pipe = make_pipeline(scheme).fit(train)
     x = pipe.input_matrix(train)
     y = pipe.target_matrix(train)
-    return pipe, gbt.fit_multi(x, y, cfg)
+    return pipe, tuple(gbt.fit(x, y[:, j], replace(cfg, seed=cfg.seed + j)) for j in outputs)
 
 
 def _predict_physical(
-    pipe: Pipeline, ensembles: Sequence[Ensemble], test: Dataset
+    pipe: Pipeline, ensembles: Sequence[Ensemble], test: Dataset, outputs: Sequence[int] = (0, 1, 2)
 ) -> np.ndarray:
+    """(n, len(outputs)) predictions for the test rows, in physical units."""
     x = pipe.input_matrix(test)
     pred = np.column_stack([e.predict(x) for e in ensembles])
-    return pipe.inverse_targets(pred, test)
+    return pred * pipe.target_scale(test)[:, list(outputs)]
 
 
 def _actual_pose(test: Dataset) -> np.ndarray:
@@ -154,6 +147,8 @@ def run_matrix(
     names = list(datasets)
     if not names:
         raise ValueError("no datasets given")
+    if len(names) < 2:
+        raise ValueError(f"a matrix run needs at least two vehicles, got {names}")
     source = datasets[names[0]].source
     trains: dict[str, Dataset] = {}
     tests: dict[str, Dataset] = {}
@@ -171,13 +166,7 @@ def run_matrix(
     cells = []
     for model_name, (pipe, ensembles) in models.items():
         for data_name, test in tests.items():
-            kind = (
-                "shared"
-                if model_name == MERGED
-                else "self"
-                if model_name == data_name
-                else "cross"
-            )
+            kind = _cell_kind(model_name, data_name)
             predicted = _predict_physical(pipe, ensembles, test)
             mx, my, mth = mae(_actual_pose(test), predicted)
             cells.append(PredictionCell(model_name, data_name, mx, my, mth, kind))
@@ -235,11 +224,7 @@ def learning_curve(
                     )
                 rng = np.random.default_rng([seed, fi, rep])
                 idx = np.sort(rng.choice(len(train), size=m, replace=False))
-                sub = Dataset(
-                    tuple(train.records[i] for i in idx),
-                    provenance=f"{train.provenance} [lc {frac} rep {rep}]",
-                    seed=train.seed,
-                )
+                sub = train.take(idx, f"{train.provenance} [lc {frac} rep {rep}]")
             pipe, ensembles = _fit_model(scheme, sub, cfg)
             maes[rep] = mae(actual, _predict_physical(pipe, ensembles, test))
         mx, my, mth = maes.mean(axis=0)
@@ -308,12 +293,8 @@ def comparative_study(
     for scheme in schemes:
         row = {}
         for label, train_ds in sources.items():
-            pipe = make_pipeline(scheme).fit(train_ds)
-            x = pipe.input_matrix(train_ds)
-            y = pipe.target_matrix(train_ds)[:, col]
-            ens = gbt.fit(x, y, replace(cfg, seed=cfg.seed + col))
-            pred = ens.predict(pipe.input_matrix(test))
-            physical = pred * pipe.target_scale(test)[:, col]
+            pipe, ensembles = _fit_model(scheme, train_ds, cfg, (col,))
+            physical = _predict_physical(pipe, ensembles, test, (col,))[:, 0]
             row[label] = float(np.mean(np.abs(actual - physical)))
         study.rows[scheme] = row
     return study

@@ -1,4 +1,4 @@
-"""Preprocessing schemes mapping maneuver records to learner matrices.
+"""Preprocessing schemes mapping dataset columns to learner matrices.
 
 Eight schemes are implemented, selectable by name:
 
@@ -12,8 +12,8 @@ pi-aug            pi plus handcrafted dimensionless ratios
 pi-fillers        pi plus the redundant dimensional fillers v_i and l
 ================  ============================================================
 
-Kinematic records expose 4 physical inputs (v_i, a, delta, l); surrogate
-records expose 8 (mu, v_i, g, a, delta, N_f, N_r, l).  The dimensionless
+Kinematic datasets expose 4 physical inputs (v_i, a, delta, l); surrogate
+datasets expose 8 (mu, v_i, g, a, delta, N_f, N_r, l).  The dimensionless
 input sets are (a l/v_i^2, delta) and (a l/v_i^2, delta, N_f/N_r, mu,
 g l/v_i^2) respectively.  Predictions in pi space are mapped back to
 physical units with the wheelbase of the *test* record's vehicle, so all
@@ -22,20 +22,16 @@ reported errors share physical units.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .dataset import Dataset, ManeuverRecord
-from .dimensions import DegenerateRowError
+from .dataset import Dataset
 
 LATERAL_RATIO_CAP = 1e3
 
 SCHEME_NAMES = ("baseline", "normalized", "pca2", "pca3", "augmented", "pi", "pi-aug", "pi-fillers")
-
-TARGET_NAMES = ("X", "Y", "theta")
-PI_TARGET_NAMES = ("X/l", "Y/l", "theta")
 
 
 @dataclass
@@ -53,93 +49,71 @@ class FeatureMatrix:
             raise ValueError("feature matrix contains non-finite entries")
 
 
-def baseline_features(r: ManeuverRecord) -> list[float]:
-    """Raw physical inputs of one record (source decides the column set)."""
-    i, v = r.inputs, r.vehicle
-    if r.source == "kinematic":
-        return [i.v_i, i.a, i.delta, v.wheelbase_l]
-    return [i.mu, i.v_i, i.g, i.a, i.delta, v.front_normal_Nf, v.rear_normal_Nr, v.wheelbase_l]
+def _col(name: str) -> Callable[[dict], np.ndarray]:
+    return lambda c: c[name]
 
 
-def augmented_features(r: ManeuverRecord) -> list[float]:
-    """Baseline inputs plus the initial yaw rate v_i tan(delta)/l."""
-    i, v = r.inputs, r.vehicle
-    return baseline_features(r) + [i.v_i * math.tan(i.delta) / v.wheelbase_l]
-
-
-def pi_features(r: ManeuverRecord) -> list[float]:
-    """Dimensionless inputs of one record."""
-    i, v = r.inputs, r.vehicle
-    if i.v_i == 0:
-        raise DegenerateRowError("v_i = 0 makes the dimensionless inputs singular")
-    braking = i.a * v.wheelbase_l / i.v_i**2
-    if r.source == "kinematic":
-        return [braking, i.delta]
-    return [
-        braking,
-        i.delta,
-        v.front_normal_Nf / v.rear_normal_Nr,
-        i.mu,
-        i.g * v.wheelbase_l / i.v_i**2,
-    ]
-
-
-def pi_augmented_features(r: ManeuverRecord, cap: float = LATERAL_RATIO_CAP) -> list[float]:
-    """Dimensionless inputs plus handcrafted ratios.
-
-    Kinematic: the scaled initial yaw rate v_i^2 tan(delta)/(a l).  Surrogate:
-    the longitudinal adherence ratio N_r mu g / ((N_f + N_r) |a|) and the
-    lateral adherence ratio g mu l / (v_i^2 tan(delta)), the latter clipped to
-    ``cap`` in magnitude (it diverges when driving straight).
-    """
-    i, v = r.inputs, r.vehicle
-    if i.a == 0:
+def _braking(c: dict) -> np.ndarray:
+    """The deceleration column, rejected when a handcrafted ratio would divide by it."""
+    if (c["a"] == 0).any():
         raise ValueError("a = 0 makes the handcrafted ratios singular")
-    base = pi_features(r)
-    if r.source == "kinematic":
-        return base + [i.v_i**2 * math.tan(i.delta) / (i.a * v.wheelbase_l)]
-    longitudinal = (
-        v.rear_normal_Nr * i.mu * i.g / ((v.front_normal_Nf + v.rear_normal_Nr) * abs(i.a))
-    )
-    tan_d = math.tan(i.delta)
-    if tan_d == 0.0:
-        lateral = cap
-    else:
-        lateral = i.g * i.mu * v.wheelbase_l / (i.v_i**2 * tan_d)
-        lateral = max(-cap, min(cap, lateral))
-    return base + [longitudinal, lateral]
+    return c["a"]
 
 
-def pi_fillers_features(r: ManeuverRecord) -> list[float]:
-    """Dimensionless inputs plus the superfluous dimensional fillers v_i, l."""
-    return pi_features(r) + [r.inputs.v_i, r.vehicle.wheelbase_l]
+def _lateral_ratio(c: dict) -> np.ndarray:
+    """g mu l / (v_i^2 tan(delta)), clipped to the cap (the cap itself at delta = 0)."""
+    den = c["v_i"] ** 2 * np.tan(c["delta"])
+    capped = np.full(len(den), LATERAL_RATIO_CAP)
+    ratio = np.divide(c["g"] * c["mu"] * c["l"], den, out=capped, where=den != 0.0)
+    return np.clip(ratio, -LATERAL_RATIO_CAP, LATERAL_RATIO_CAP)
 
 
-def _input_columns(source: str, scheme: str) -> list[str]:
-    kin = source == "kinematic"
-    base = (
-        ["v_i", "a", "delta", "l"]
-        if kin
-        else ["mu", "v_i", "g", "a", "delta", "N_f", "N_r", "l"]
-    )
-    pi_cols = (
-        ["a*l/v_i^2", "delta"]
-        if kin
-        else ["a*l/v_i^2", "delta", "N_f/N_r", "mu", "g*l/v_i^2"]
-    )
-    if scheme in ("baseline", "normalized", "pca2", "pca3"):
-        return base
-    if scheme == "augmented":
-        return base + ["v_i*tan(delta)/l"]
-    if scheme == "pi":
-        return pi_cols
-    if scheme == "pi-aug":
-        if kin:
-            return pi_cols + ["v_i^2*tan(delta)/(a*l)"]
-        return pi_cols + ["N_r*mu*g/((N_f+N_r)*|a|)", "g*mu*l/(v_i^2*tan(delta))"]
-    if scheme == "pi-fillers":
-        return pi_cols + ["v_i", "l"]
-    raise ValueError(f"unknown scheme {scheme!r}")
+# Input columns per source: column name -> expression over ``Dataset.columns()``.
+_RAW = {
+    "kinematic": {"v_i": _col("v_i"), "a": _col("a"), "delta": _col("delta"), "l": _col("l")},
+    "surrogate": {
+        "mu": _col("mu"), "v_i": _col("v_i"), "g": _col("g"), "a": _col("a"), "delta": _col("delta"),
+        "N_f": _col("Nf"), "N_r": _col("Nr"), "l": _col("l"),
+    },
+}
+_BRAKING_PI = {"a*l/v_i^2": lambda c: c["a"] * c["l"] / c["v_i"] ** 2, "delta": _col("delta")}
+_PI = {
+    "kinematic": _BRAKING_PI,
+    "surrogate": {
+        **_BRAKING_PI,
+        "N_f/N_r": lambda c: c["Nf"] / c["Nr"],
+        "mu": _col("mu"),
+        "g*l/v_i^2": lambda c: c["g"] * c["l"] / c["v_i"] ** 2,
+    },
+}
+
+# scheme -> source -> input columns before any fitted transform
+_SCHEME_INPUTS = {
+    **dict.fromkeys(("baseline", "normalized", "pca2", "pca3"), _RAW),
+    "augmented": {
+        src: {**cols, "v_i*tan(delta)/l": lambda c: c["v_i"] * np.tan(c["delta"]) / c["l"]}
+        for src, cols in _RAW.items()
+    },
+    "pi": _PI,
+    "pi-aug": {
+        "kinematic": {
+            **_PI["kinematic"],
+            # the scaled initial yaw rate
+            "v_i^2*tan(delta)/(a*l)": lambda c: (
+                c["v_i"] ** 2 * np.tan(c["delta"]) / (_braking(c) * c["l"])
+            ),
+        },
+        "surrogate": {
+            **_PI["surrogate"],
+            # longitudinal and lateral adherence ratios
+            "N_r*mu*g/((N_f+N_r)*|a|)": lambda c: (
+                c["Nr"] * c["mu"] * c["g"] / ((c["Nf"] + c["Nr"]) * np.abs(_braking(c)))
+            ),
+            "g*mu*l/(v_i^2*tan(delta))": _lateral_ratio,
+        },
+    },
+    "pi-fillers": {src: {**cols, "v_i": _col("v_i"), "l": _col("l")} for src, cols in _PI.items()},
+}
 
 
 class MaxAbsNormalizer:
@@ -211,25 +185,6 @@ class PcaTransform:
         return FeatureMatrix(z @ self.components, cols)
 
 
-def fit_normalizer(train: FeatureMatrix) -> MaxAbsNormalizer:
-    return MaxAbsNormalizer().fit(train)
-
-
-def fit_pca(train: FeatureMatrix, k: int) -> PcaTransform:
-    return PcaTransform(k).fit(train)
-
-
-_ROW_FNS = {
-    "baseline": baseline_features,
-    "normalized": baseline_features,
-    "pca2": baseline_features,
-    "pca3": baseline_features,
-    "augmented": augmented_features,
-    "pi": pi_features,
-    "pi-aug": pi_augmented_features,
-    "pi-fillers": pi_fillers_features,
-}
-
 _PI_SCHEMES = ("pi", "pi-aug", "pi-fillers")
 
 
@@ -240,51 +195,37 @@ class Pipeline:
         if scheme not in SCHEME_NAMES:
             raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEME_NAMES}")
         self.scheme = scheme
-        self._normalizer: MaxAbsNormalizer | None = None
-        self._pca: PcaTransform | None = None
-
-    @property
-    def requires_fit(self) -> bool:
-        return self.scheme in ("normalized", "pca2", "pca3")
+        self._transform: MaxAbsNormalizer | PcaTransform | None = None
 
     @property
     def dimensionless_targets(self) -> bool:
         return self.scheme in _PI_SCHEMES
 
-    @property
-    def target_names(self) -> tuple[str, ...]:
-        return PI_TARGET_NAMES if self.dimensionless_targets else TARGET_NAMES
-
     def _raw_inputs(self, d: Dataset) -> FeatureMatrix:
-        fn = _ROW_FNS[self.scheme]
-        rows = [fn(r) for r in d.records]
-        return FeatureMatrix(np.array(rows, dtype=float), _input_columns(d.source, self.scheme))
+        exprs = _SCHEME_INPUTS[self.scheme][d.source]
+        c = d.columns()
+        return FeatureMatrix(np.column_stack([f(c) for f in exprs.values()]), list(exprs))
 
     def fit(self, train: Dataset) -> "Pipeline":
         if self.scheme == "normalized":
-            self._normalizer = fit_normalizer(self._raw_inputs(train))
+            self._transform = MaxAbsNormalizer().fit(self._raw_inputs(train))
         elif self.scheme in ("pca2", "pca3"):
-            self._pca = fit_pca(self._raw_inputs(train), k=int(self.scheme[-1]))
+            self._transform = PcaTransform(int(self.scheme[-1])).fit(self._raw_inputs(train))
         return self
 
     def input_matrix(self, d: Dataset) -> FeatureMatrix:
         m = self._raw_inputs(d)
-        if self.scheme == "normalized":
-            if self._normalizer is None:
-                raise RuntimeError("scheme 'normalized' must be fit before transform")
-            return self._normalizer.apply(m)
-        if self.scheme in ("pca2", "pca3"):
-            if self._pca is None:
-                raise RuntimeError(f"scheme {self.scheme!r} must be fit before transform")
-            return self._pca.apply(m)
-        return m
+        if self.scheme not in ("normalized", "pca2", "pca3"):
+            return m
+        if self._transform is None:
+            raise RuntimeError(f"scheme {self.scheme!r} must be fit before transform")
+        return self._transform.apply(m)
 
     def target_matrix(self, d: Dataset) -> np.ndarray:
         """(n, 3) learning targets: final pose, scaled by 1/l for pi schemes."""
         c = d.columns()
         y = np.column_stack([c["X"], c["Y"], c["theta"]])
         if self.dimensionless_targets:
-            y = y.copy()
             y[:, 0] /= c["l"]
             y[:, 1] /= c["l"]
         return y

@@ -166,3 +166,10 @@ def test_vehicles_file_flag(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "mini: 96 records" in text
     assert (out / "data" / "kinematic" / "mini.csv").exists()
+
+
+def test_matrix_one_vehicle_fails(tmp_path, capsys):
+    tiny = tmp_path / "tiny.conf"
+    tiny.write_text(TINY_CONF.replace("large = 0.475, 71.12, 71.12\n", ""))
+    assert run("matrix", "--config", tiny, "--out", tmp_path / "reports", "--gen") == 2
+    assert "at least two vehicles" in capsys.readouterr().err

@@ -85,3 +85,24 @@ def test_bad_vehicle_line(tmp_path):
     path.write_text("[vehicles]\nbad = 1.0, 2.0\n")
     with pytest.raises(ValueError, match="l, Nf, Nr"):
         load_run_config(path)
+
+
+@pytest.mark.parametrize(
+    "text, names",
+    [
+        ("[gbt]\nround = 5\n", ["'round'", "[gbt]"]),
+        ("[run]\nschme = pi-aug\n", ["'schme'", "[run]"]),
+        ("[grid.kinematic]\nvi = 1, 2, 3\n", ["'vi'", "[grid.kinematic]"]),
+        ("[bogus]\nx = 1\n", ["[bogus]"]),
+        ("[DEFAULT]\nseed = 1\n", ["[DEFAULT]"]),
+        ("[run]\nscheme = autoencoder\n", ["scheme", "'autoencoder'"]),
+        ("[run]\nsource = lidar\n", ["source", "'lidar'"]),
+    ],
+)
+def test_unknown_or_invalid_entries_rejected(tmp_path, text, names):
+    path = tmp_path / "run.conf"
+    path.write_text(text)
+    with pytest.raises(ValueError) as err:
+        load_run_config(path)
+    for name in names + [str(path)]:
+        assert name in str(err.value)

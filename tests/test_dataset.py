@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pibrake.dataset import (
+    CSV_HEADER,
     DEFAULT_VEHICLES,
     Dataset,
     kinematic_grid,
@@ -159,3 +160,29 @@ def test_load_rejects_foreign_header(tmp_path):
 def test_grid_override():
     ds = kinematic_grid(SMALL, grid=TINY_KIN_GRID)
     assert len(ds) == 4 * 3 * 3
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("v_i", "0.0", "initial speed"),
+        ("delta", "1.6", "steering angle"),
+        ("g", "-9.81", "gravity"),
+        ("X", "nan", "non-finite"),
+        ("theta", "inf", "non-finite"),
+        ("l", "0.0", "must all be positive"),
+        ("source", "surrogate", "mixes sources"),
+        ("source", "lidar", "unknown source"),
+    ],
+)
+def test_load_rejects_invalid_rows(tmp_path, field, value, message):
+    path = save_csv(kinematic_grid(SMALL, grid=TINY_KIN_GRID), tmp_path / "kin.csv")
+    lines = path.read_text(encoding="utf-8").splitlines()
+    row = lines[2].split(",")
+    row[CSV_HEADER.index(field)] = value
+    lines[2] = ",".join(row)
+    if field == "source" and value == "lidar":
+        lines = [lines[0], lines[2]]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=message):
+        load_csv(path)

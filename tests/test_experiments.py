@@ -16,7 +16,7 @@ from pibrake.experiments import (
 )
 from pibrake.features import SCHEME_NAMES
 from pibrake.gbt import GbtConfig
-from pibrake.simulator import FinalPose
+from pibrake.simulator import VehicleSpec
 
 TINY_GRID = {"v_i": (0.5, 4.0, 8), "a_g": (0.2, 1.0, 5), "delta": (0.0, 0.7854, 5)}
 FAST_CFG = GbtConfig(n_rounds=30, min_samples_leaf=2)
@@ -33,14 +33,14 @@ def tiny_report(tiny_datasets):
 
 
 def test_mae_basics():
-    a = [FinalPose(0, 0, 0), FinalPose(2, 1, 0.5)]
+    a = np.array([(0, 0, 0), (2, 1, 0.5)])
     assert mae(a, a) == (0.0, 0.0, 0.0)
-    p = [FinalPose(1, 0, 0), FinalPose(1, 1, 0.5)]
+    p = np.array([(1, 0, 0), (1, 1, 0.5)])
     assert mae(a, p) == (1.0, 0.0, 0.0)
     with pytest.raises(ValueError, match="mismatch"):
         mae(a, p[:1])
     with pytest.raises(ValueError, match="empty"):
-        mae([], [])
+        mae(np.empty((0, 3)), np.empty((0, 3)))
 
 
 def test_cell_kind_enforced():
@@ -87,6 +87,13 @@ def test_audit_catches_overlap(tiny_datasets):
     assert audit_no_leakage({"m": train}, {"small": test}) == []
     dirty = Dataset(train.records + test.records[:1], "dirty")
     assert audit_no_leakage({"m": dirty}, {"small": test}) == [("m", "small")]
+
+
+def test_audit_key_covers_vehicle_geometry():
+    grid = {"v_i": (1.0, 2.0, 2), "a_g": (0.5, 1.0, 2), "delta": (0.0, 0.3, 2)}
+    short = kinematic_grid(VehicleSpec("v", 0.3, 10.0, 10.0), step=1e-3, grid=grid)
+    long = kinematic_grid(VehicleSpec("v", 0.6, 10.0, 10.0), step=1e-3, grid=grid)
+    assert audit_no_leakage({"m": short}, {"v": long}) == []
 
 
 def test_matrix_rejects_empty():

@@ -10,14 +10,7 @@ from pibrake.features import (
     MaxAbsNormalizer,
     PcaTransform,
     SCHEME_NAMES,
-    augmented_features,
-    baseline_features,
-    fit_normalizer,
-    fit_pca,
     make_pipeline,
-    pi_augmented_features,
-    pi_features,
-    pi_fillers_features,
 )
 from pibrake.simulator import FinalPose, ManeuverInput, VehicleSpec
 
@@ -36,13 +29,18 @@ def dyn_record(vehicle, mu, v_i, a, delta, pose=(1.0, 0.2, 0.1), g=9.81):
     )
 
 
+def features(scheme, r):
+    """Input vector of one record under a stateless scheme, via a one-row dataset."""
+    return make_pipeline(scheme).input_matrix(Dataset((r,))).values[0].tolist()
+
+
 def test_baseline_vectors():
     r = kin_record(SMALL, 1.0, -0.981, 0.0)
-    assert baseline_features(r) == [1.0, -0.981, 0.0, 0.345]
+    assert features("baseline", r) == [1.0, -0.981, 0.0, 0.345]
     d = dyn_record(LONG, 0.4, 2.0, -1.962, 0.3)
-    assert baseline_features(d) == [0.4, 2.0, 9.81, -1.962, 0.3, 22.74, 52.89, 0.853]
-    assert len(baseline_features(r)) == 4
-    assert len(baseline_features(d)) == 8
+    assert features("baseline", d) == [0.4, 2.0, 9.81, -1.962, 0.3, 22.74, 52.89, 0.853]
+    assert len(features("baseline", r)) == 4
+    assert len(features("baseline", d)) == 8
 
 
 def test_baseline_targets_are_raw_pose():
@@ -54,11 +52,11 @@ def test_baseline_targets_are_raw_pose():
 
 def test_pi_features_values():
     r = kin_record(LONG, 2.0, -1.962, 0.3)
-    got = pi_features(r)
+    got = features("pi", r)
     assert got[0] == pytest.approx(-1.962 * 0.853 / 4.0, rel=1e-12)  # -0.4183965
     assert got[1] == 0.3
     d = dyn_record(LARGE, 0.4, 2.0, -1.962, 0.3)
-    vals = pi_features(d)
+    vals = features("pi", d)
     assert vals == pytest.approx(
         [-1.962 * 0.475 / 4.0, 0.3, 1.0, 0.4, 9.81 * 0.475 / 4.0], rel=1e-12
     )
@@ -78,14 +76,14 @@ def test_pi_similarity_equal_inputs_across_vehicles():
     a_long = a_small * SMALL.wheelbase_l / LONG.wheelbase_l
     r1 = kin_record(SMALL, 2.0, a_small, 0.25)
     r2 = kin_record(LONG, 2.0, a_long, 0.25)
-    assert pi_features(r1) == pi_features(r2)
+    assert features("pi", r1) == features("pi", r2)
 
 
 def test_pi_augmented_kinematic():
     r = kin_record(SMALL, 2.0, -3.0, 0.0)
-    assert pi_augmented_features(r)[-1] == 0.0  # tan 0 = 0
+    assert features("pi-aug", r)[-1] == 0.0  # tan 0 = 0
     r2 = kin_record(SMALL, 2.0, -3.0, 0.4)
-    vecs = pi_augmented_features(r2)
+    vecs = features("pi-aug", r2)
     # cross-check: pi6 * pi4 = tan(delta)
     assert vecs[-1] * vecs[0] == pytest.approx(math.tan(0.4), rel=1e-12)
 
@@ -93,7 +91,7 @@ def test_pi_augmented_kinematic():
 def test_pi_augmented_dynamic_ratios():
     # Nf = Nr on the large vehicle: ratio reduces to mu g / (2 |a|) * 2
     d = dyn_record(LARGE, 0.4, 2.0, -2 * 0.981, 0.3)
-    vals = pi_augmented_features(d)
+    vals = features("pi-aug", d)
     longitudinal = vals[-2]
     assert longitudinal == pytest.approx(
         71.12 * 0.4 * 9.81 / ((71.12 + 71.12) * 1.962), rel=1e-12
@@ -105,41 +103,41 @@ def test_pi_augmented_dynamic_ratios():
 
 def test_pi_augmented_lateral_cap_at_zero_steering():
     d = dyn_record(LARGE, 0.4, 2.0, -1.0, 0.0)
-    assert pi_augmented_features(d)[-1] == LATERAL_RATIO_CAP
+    assert features("pi-aug", d)[-1] == LATERAL_RATIO_CAP
     tiny = dyn_record(LARGE, 1.4, 1.0, -1.0, 1e-9)
-    assert pi_augmented_features(tiny)[-1] == LATERAL_RATIO_CAP
+    assert features("pi-aug", tiny)[-1] == LATERAL_RATIO_CAP
 
 
 def test_pi_augmented_rejects_zero_deceleration():
     r = ManeuverRecord(SMALL, ManeuverInput(1.0, 0.0, 0.1), FinalPose(0, 0, 0), "kinematic")
     with pytest.raises(ValueError, match="a = 0"):
-        pi_augmented_features(r)
+        features("pi-aug", r)
 
 
 def test_pi_fillers():
     r = kin_record(SMALL, 2.0, -3.0, 0.25)
-    vals = pi_fillers_features(r)
+    vals = features("pi-fillers", r)
     assert len(vals) == 4
     assert vals[-2:] == [2.0, 0.345]
-    assert vals[:-2] == pi_features(r)
+    assert vals[:-2] == features("pi", r)
     # fillers break the cross-vehicle coincidence
     a_long = -3.0 * SMALL.wheelbase_l / LONG.wheelbase_l
-    assert pi_fillers_features(kin_record(LONG, 2.0, a_long, 0.25)) != vals
+    assert features("pi-fillers", kin_record(LONG, 2.0, a_long, 0.25)) != vals
 
 
 def test_augmented_features():
     r = kin_record(SMALL, 2.0, -3.0, 0.0)
-    vals = augmented_features(r)
+    vals = features("augmented", r)
     assert vals[-1] == 0.0
-    assert len(vals) == len(baseline_features(r)) + 1
+    assert len(vals) == len(features("baseline", r)) + 1
     r2 = kin_record(SMALL, 2.0, -3.0, 0.4)
-    appended = augmented_features(r2)[-1]
+    appended = features("augmented", r2)[-1]
     assert appended * SMALL.wheelbase_l / 2.0 == pytest.approx(math.tan(0.4), rel=1e-12)
 
 
 def test_normalizer():
     m = FeatureMatrix(np.array([[1.0, 0.0], [-2.0, 0.0], [0.5, 0.0]]), ["a", "b"])
-    norm = fit_normalizer(m)
+    norm = MaxAbsNormalizer().fit(m)
     out = norm.apply(m)
     assert out.values[:, 0].tolist() == [0.5, -1.0, 0.25]
     assert out.values[:, 1].tolist() == [0.0, 0.0, 0.0]
@@ -155,7 +153,7 @@ def test_pca_full_rank_reconstruction():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(200, 4)) @ rng.normal(size=(4, 4))
     m = FeatureMatrix(x, list("abcd"))
-    pca = fit_pca(m, k=4)
+    pca = PcaTransform(4).fit(m)
     z = pca.apply(m).values
     x_rec = (z @ pca.components.T) * pca.scale + pca.mean
     rms = np.sqrt(np.mean((x_rec - x) ** 2))
@@ -165,19 +163,19 @@ def test_pca_full_rank_reconstruction():
 def test_pca_line_in_2d():
     t = np.linspace(-1, 1, 50)
     m = FeatureMatrix(np.column_stack([t, 3 * t]), ["a", "b"])
-    pca = fit_pca(m, k=1)
+    pca = PcaTransform(1).fit(m)
     assert pca.explained_variance_ratio[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pca_validation_and_sign():
     m = FeatureMatrix(np.random.default_rng(1).normal(size=(50, 3)), list("abc"))
     with pytest.raises(ValueError):
-        fit_pca(m, k=0)
+        PcaTransform(0).fit(m)
     with pytest.raises(ValueError):
-        fit_pca(m, k=4)
+        PcaTransform(4).fit(m)
     with pytest.raises(RuntimeError):
         PcaTransform(2).apply(m)
-    pca = fit_pca(m, k=3)
+    pca = PcaTransform(3).fit(m)
     for j in range(3):
         lead = np.argmax(np.abs(pca.components[:, j]))
         assert pca.components[lead, j] > 0
@@ -229,16 +227,8 @@ def test_pi_schemes_unit_rescale_invariance(scheme):
         )
         lam, tau, mass = (float(rng.uniform(0.2, 5.0)) for _ in range(3))
         twin = _rescaled(r, lam, tau, mass)
-        a = np.array(
-            {"pi": pi_features, "pi-aug": pi_augmented_features, "pi-fillers": pi_fillers_features}[
-                scheme
-            ](r)
-        )
-        b = np.array(
-            {"pi": pi_features, "pi-aug": pi_augmented_features, "pi-fillers": pi_fillers_features}[
-                scheme
-            ](twin)
-        )
+        a = np.array(features(scheme, r))
+        b = np.array(features(scheme, twin))
         if scheme == "pi-fillers":  # the fillers are dimensional by design
             a, b = a[:-2], b[:-2]
         np.testing.assert_allclose(b, a, rtol=1e-10)
@@ -296,7 +286,7 @@ def test_features_match_dimension_engine():
         "N_r": r.vehicle.rear_normal_Nr,
         "l": r.vehicle.wheelbase_l,
     }
-    vals = pi_features(r)
+    vals = features("pi", r)
     assert vals[0] == pytest.approx(basis.group_for("a").evaluate(row), rel=1e-12)
     assert vals[1] == pytest.approx(basis.group_for("delta").evaluate(row), rel=1e-12)
     # engine emits the axle ratio as N_r/N_f; the feature uses the reciprocal
