@@ -16,10 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 RatioLike = int | Fraction
+Value = float | np.ndarray
 
 ROLES = ("input", "output", "repeated-candidate")
 
@@ -129,9 +133,6 @@ class DimensionMatrix:
         _, pivots = _rref(self.rows())
         return len(pivots)
 
-    def names(self) -> list[str]:
-        return [v.name for v in self.variables]
-
 
 def build_dimension_matrix(variables: Sequence[VariableDecl]) -> DimensionMatrix:
     """Arrange declared variables into a dimension matrix, one column each."""
@@ -145,18 +146,30 @@ def build_dimension_matrix(variables: Sequence[VariableDecl]) -> DimensionMatrix
     return DimensionMatrix(tuple(variables))
 
 
+def _product(row: Mapping[str, Value], powers: Iterable[tuple[str, int | float]]) -> Value:
+    """The product of ``row[name] ** p`` over the powers, left to right, from 1.0."""
+    value = 1.0
+    for name, p in powers:
+        value = value * row[name] ** p
+    return value
+
+
+def _monomial(powers: Sequence[tuple[str, int | float]], row: Mapping[str, Value], label: str) -> Value:
+    """The positive powers multiplied in order, over the product of the negative
+    powers; on scalars and numpy columns alike."""
+    for name, p in powers:
+        if p < 0 and np.any(np.asarray(row[name]) == 0):
+            raise DegenerateRowError(f"variable {name!r} is 0 but appears with exponent {p} in {label!r}")
+    num = _product(row, ((name, p) for name, p in powers if p > 0))
+    return num / _product(row, ((name, -p) for name, p in powers if p < 0))
+
+
 @dataclass(frozen=True)
 class PiGroup:
     """One dimensionless monomial: a rational exponent per declared variable."""
 
     variables: tuple[VariableDecl, ...]
     exponents: tuple[Fraction, ...]
-
-    def exponent(self, name: str) -> Fraction:
-        for v, e in zip(self.variables, self.exponents):
-            if v.name == name:
-                return e
-        raise KeyError(name)
 
     def dimension(self) -> DimensionVector:
         total = DIMENSIONLESS
@@ -167,32 +180,30 @@ class PiGroup:
     def terms(self) -> list[tuple[str, Fraction]]:
         return [(v.name, e) for v, e in zip(self.variables, self.exponents) if e != 0]
 
-    @property
+    @cached_property
+    def powers(self) -> tuple[tuple[str, int | float], ...]:
+        """:meth:`terms` with each exponent as a Python int, or a float if fractional."""
+        return tuple((name, int(e) if e.denominator == 1 else float(e)) for name, e in self.terms())
+
+    @cached_property
     def label(self) -> str:
         parts = []
         for name, e in self.terms():
             parts.append(name if e == 1 else f"{name}^{e}")
         return " ".join(parts) if parts else "1"
 
-    def evaluate(self, row: Mapping[str, float]) -> float:
-        value = 1.0
-        for name, e in self.terms():
-            x = float(row[name])
-            if x == 0.0 and e < 0:
-                raise DegenerateRowError(
-                    f"variable {name!r} is 0 but appears with exponent {e} in {self.label!r}"
-                )
-            if e.denominator == 1:
-                value *= x ** int(e)
-            else:
-                value *= x ** float(e)
-        return value
+    def evaluate(self, row: Mapping[str, Value]) -> Value:
+        """The group's value on one row of scalars, or elementwise on columns."""
+        return _monomial(self.powers, row, self.label)
+
+    __call__ = evaluate
+
+    def reciprocal(self) -> "PiGroup":
+        return PiGroup(self.variables, tuple(-e for e in self.exponents))
 
     def same_ray(self, other: "PiGroup") -> bool:
         """True when the groups are equal up to canonical sign (reciprocal)."""
-        if self.exponents == other.exponents:
-            return True
-        return tuple(-e for e in self.exponents) == other.exponents
+        return other.exponents in (self.exponents, self.reciprocal().exponents)
 
 
 @dataclass(frozen=True)
@@ -340,37 +351,33 @@ def _solve_exponents(repeated: Sequence[VariableDecl], target: DimensionVector) 
     return x
 
 
-def transform_row(basis: PiBasis, row: Mapping[str, float]) -> dict[str, float]:
+def transform_row(basis: PiBasis, row: Mapping[str, Value]) -> dict[str, Value]:
     """Evaluate every pi group on one row of physical values, keyed by label."""
     return {g.label: g.evaluate(row) for g in basis.groups}
 
 
 def inverse_transform_outputs(
-    basis: PiBasis, pi_values: Mapping[str, float], context: Mapping[str, float]
-) -> dict[str, float]:
+    basis: PiBasis, pi_values: Mapping[str, Value], context: Mapping[str, Value]
+) -> dict[str, Value]:
     """Recover physical variables from pi values (repeated-variables bases).
 
     ``pi_values`` maps group labels to dimensionless values; ``context`` must
-    supply the repeated-variable values.  Exact algebraic inverse of
-    :func:`transform_row` for the groups given.
+    supply the repeated-variable values.  Each value is multiplied by its
+    group's repeated factors with their exponents negated.
     """
     repeated_names = {v.name for v in basis.repeated}
     label_to_group = {g.label: g for g in basis.groups}
-    out: dict[str, float] = {}
+    out: dict[str, Value] = {}
     for label, value in pi_values.items():
         group = label_to_group[label]
         carried = [(n, e) for n, e in group.terms() if n not in repeated_names]
         if len(carried) != 1 or carried[0][1] != 1:
             raise ValueError(f"group {label!r} is not invertible for a single variable")
-        name = carried[0][0]
-        factor = 1.0
-        for rname, e in group.terms():
-            if rname in repeated_names:
-                if rname not in context:
-                    raise ValueError(f"missing context variable {rname!r}")
-                base = float(context[rname])
-                factor *= base ** (int(e) if e.denominator == 1 else float(e))
-        out[name] = value / factor
+        factors = [(n, -p) for n, p in group.powers if n in repeated_names]
+        for rname, _ in factors:
+            if rname not in context:
+                raise ValueError(f"missing context variable {rname!r}")
+        out[carried[0][0]] = value * _monomial(factors, context, label)
     return out
 
 

@@ -34,6 +34,11 @@ OUTPUT_COLUMNS = {"X": 0, "Y": 1, "theta": 2}
 TRAIN_FRACTION = 0.8
 
 
+def _require_vehicle(datasets: Mapping[str, Dataset], vehicle: str, role: str) -> None:
+    if vehicle not in datasets:
+        raise ValueError(f"unknown {role} {vehicle!r}; known vehicles: {', '.join(datasets)}")
+
+
 def _cell_kind(model_vehicle: str, data_vehicle: str) -> str:
     if model_vehicle == MERGED:
         return "shared"
@@ -128,8 +133,7 @@ def _predict_physical(
 ) -> np.ndarray:
     """(n, len(outputs)) predictions for the test rows, in physical units."""
     x = pipe.input_matrix(test)
-    pred = np.column_stack([e.predict(x) for e in ensembles])
-    return pred * pipe.target_scale(test)[:, list(outputs)]
+    return pipe.inverse_targets(np.column_stack([e.predict(x) for e in ensembles]), test, outputs)
 
 
 def _actual_pose(test: Dataset) -> np.ndarray:
@@ -208,6 +212,7 @@ def learning_curve(
         raise ValueError("repeats must be >= 1")
     if any(not 0.0 < f <= 1.0 for f in fractions):
         raise ValueError("fractions must lie in (0, 1]")
+    _require_vehicle(datasets, vehicle, "vehicle")
     train, test = split(datasets[vehicle], TRAIN_FRACTION, seed)
     actual = _actual_pose(test)
     points = []
@@ -242,9 +247,6 @@ class ComparativeStudy:
     training_sources: list[str]
     rows: dict[str, dict[str, float]] = field(default_factory=dict)
 
-    def value(self, scheme: str, training_source: str) -> float:
-        return self.rows[scheme][training_source]
-
     def transfer_mae(self, scheme: str) -> float:
         """Mean MAE over the single-other-vehicle training sources."""
         others = [s for s in self.training_sources if s not in ("own", "merged")]
@@ -267,10 +269,11 @@ def comparative_study(
     """
     if output not in OUTPUT_COLUMNS:
         raise ValueError(f"output must be one of {list(OUTPUT_COLUMNS)}")
-    if target_vehicle not in datasets:
-        raise ValueError(f"unknown target vehicle {target_vehicle!r}")
-    col = OUTPUT_COLUMNS[output]
+    _require_vehicle(datasets, target_vehicle, "target vehicle")
     names = list(datasets)
+    if len(names) < 2:
+        raise ValueError(f"a comparative study needs at least two vehicles, got {names}")
+    col = OUTPUT_COLUMNS[output]
     trains: dict[str, Dataset] = {}
     tests: dict[str, Dataset] = {}
     for name, ds in datasets.items():

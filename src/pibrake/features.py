@@ -12,22 +12,29 @@ pi-aug            pi plus handcrafted dimensionless ratios
 pi-fillers        pi plus the redundant dimensional fillers v_i and l
 ================  ============================================================
 
-Kinematic datasets expose 4 physical inputs (v_i, a, delta, l); surrogate
-datasets expose 8 (mu, v_i, g, a, delta, N_f, N_r, l).  The dimensionless
-input sets are (a l/v_i^2, delta) and (a l/v_i^2, delta, N_f/N_r, mu,
-g l/v_i^2) respectively.  Predictions in pi space are mapped back to
-physical units with the wheelbase of the *test* record's vehicle, so all
-reported errors share physical units.
+Every raw input, pi input and target comes from one repeated-variables pi
+basis per source (:data:`BASES`, over ``DEFAULT_REPEATED``); only the
+handcrafted ratios and fillers are written out.  Predictions in pi space are
+mapped back to physical units by the basis inverse with the wheelbase of
+the *test* record's vehicle, so all reported errors share physical units.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from operator import itemgetter
+from typing import Sequence
 
 import numpy as np
 
 from .dataset import Dataset
+from .dimensions import (
+    DEFAULT_REPEATED,
+    VARIABLE_SETS,
+    build_dimension_matrix,
+    inverse_transform_outputs,
+    repeated_vars_pi_basis,
+)
 
 LATERAL_RATIO_CAP = 1e3
 
@@ -49,8 +56,19 @@ class FeatureMatrix:
             raise ValueError("feature matrix contains non-finite entries")
 
 
-def _col(name: str) -> Callable[[dict], np.ndarray]:
-    return lambda c: c[name]
+# one basis per source, built once; the surrogate uses the dynamic variable set
+BASES = {
+    src: repeated_vars_pi_basis(build_dimension_matrix(VARIABLE_SETS[s]()), DEFAULT_REPEATED[s])
+    for src, s in (("kinematic", "kinematic"), ("surrogate", "dynamic"))
+}
+# Dataset.columns() keys of the declared variables whose names differ
+_DATASET_COLUMN = {"N_f": "Nf", "N_r": "Nr"}
+
+
+def _variables(d: Dataset) -> dict[str, np.ndarray]:
+    """The columns of ``d`` keyed by the declared variables of its source."""
+    c = d.columns()
+    return {v.name: c[_DATASET_COLUMN.get(v.name, v.name)] for v in BASES[d.source].matrix.variables}
 
 
 def _braking(c: dict) -> np.ndarray:
@@ -68,51 +86,59 @@ def _lateral_ratio(c: dict) -> np.ndarray:
     return np.clip(ratio, -LATERAL_RATIO_CAP, LATERAL_RATIO_CAP)
 
 
-# Input columns per source: column name -> expression over ``Dataset.columns()``.
-_RAW = {
-    "kinematic": {"v_i": _col("v_i"), "a": _col("a"), "delta": _col("delta"), "l": _col("l")},
-    "surrogate": {
-        "mu": _col("mu"), "v_i": _col("v_i"), "g": _col("g"), "a": _col("a"), "delta": _col("delta"),
-        "N_f": _col("Nf"), "N_r": _col("Nr"), "l": _col("l"),
-    },
+def _declared(src: str, outputs: bool) -> dict:
+    """The declared inputs (or outputs) of a source, in declaration order."""
+    declared = BASES[src].matrix.variables
+    return {v.name: itemgetter(v.name) for v in declared if (v.role == "output") == outputs}
+
+
+def _groups(src: str, carried: Sequence[str]) -> dict:
+    """The basis groups carrying the given variables, keyed by label; the axle
+    group N_r/N_f is inverted to the customary N_f/N_r."""
+    groups = [BASES[src].group_for(name) for name in carried]
+    groups = [g.reciprocal() if name == "N_r" else g for name, g in zip(carried, groups)]
+    return {g.label: g for g in groups}
+
+
+# per source: column name -> expression over ``_variables(d)``
+_PHYSICAL_INPUTS = {src: _declared(src, False) for src in BASES}
+_PHYSICAL_TARGETS = {src: _declared(src, True) for src in BASES}
+# the pi inputs are the groups carrying these variables, in the fixed column order
+# (GBT breaks split ties by the lowest column index)
+_GROUP_INPUTS = {
+    "kinematic": _groups("kinematic", ("a", "delta")),
+    "surrogate": _groups("surrogate", ("a", "delta", "N_r", "mu", "g")),
 }
-_BRAKING_PI = {"a*l/v_i^2": lambda c: c["a"] * c["l"] / c["v_i"] ** 2, "delta": _col("delta")}
-_PI = {
-    "kinematic": _BRAKING_PI,
-    "surrogate": {
-        **_BRAKING_PI,
-        "N_f/N_r": lambda c: c["Nf"] / c["Nr"],
-        "mu": _col("mu"),
-        "g*l/v_i^2": lambda c: c["g"] * c["l"] / c["v_i"] ** 2,
-    },
-}
+_GROUP_TARGETS = {src: _groups(src, list(_PHYSICAL_TARGETS[src])) for src in BASES}
 
 # scheme -> source -> input columns before any fitted transform
 _SCHEME_INPUTS = {
-    **dict.fromkeys(("baseline", "normalized", "pca2", "pca3"), _RAW),
+    **dict.fromkeys(("baseline", "normalized", "pca2", "pca3"), _PHYSICAL_INPUTS),
     "augmented": {
         src: {**cols, "v_i*tan(delta)/l": lambda c: c["v_i"] * np.tan(c["delta"]) / c["l"]}
-        for src, cols in _RAW.items()
+        for src, cols in _PHYSICAL_INPUTS.items()
     },
-    "pi": _PI,
+    "pi": _GROUP_INPUTS,
     "pi-aug": {
         "kinematic": {
-            **_PI["kinematic"],
+            **_GROUP_INPUTS["kinematic"],
             # the scaled initial yaw rate
             "v_i^2*tan(delta)/(a*l)": lambda c: (
                 c["v_i"] ** 2 * np.tan(c["delta"]) / (_braking(c) * c["l"])
             ),
         },
         "surrogate": {
-            **_PI["surrogate"],
+            **_GROUP_INPUTS["surrogate"],
             # longitudinal and lateral adherence ratios
             "N_r*mu*g/((N_f+N_r)*|a|)": lambda c: (
-                c["Nr"] * c["mu"] * c["g"] / ((c["Nf"] + c["Nr"]) * np.abs(_braking(c)))
+                c["N_r"] * c["mu"] * c["g"] / ((c["N_f"] + c["N_r"]) * np.abs(_braking(c)))
             ),
             "g*mu*l/(v_i^2*tan(delta))": _lateral_ratio,
         },
     },
-    "pi-fillers": {src: {**cols, "v_i": _col("v_i"), "l": _col("l")} for src, cols in _PI.items()},
+    "pi-fillers": {
+        src: {**cols, "v_i": itemgetter("v_i"), "l": itemgetter("l")} for src, cols in _GROUP_INPUTS.items()
+    },
 }
 
 
@@ -203,8 +229,8 @@ class Pipeline:
 
     def _raw_inputs(self, d: Dataset) -> FeatureMatrix:
         exprs = _SCHEME_INPUTS[self.scheme][d.source]
-        c = d.columns()
-        return FeatureMatrix(np.column_stack([f(c) for f in exprs.values()]), list(exprs))
+        row = _variables(d)
+        return FeatureMatrix(np.column_stack([f(row) for f in exprs.values()]), list(exprs))
 
     def fit(self, train: Dataset) -> "Pipeline":
         if self.scheme == "normalized":
@@ -222,30 +248,26 @@ class Pipeline:
         return self._transform.apply(m)
 
     def target_matrix(self, d: Dataset) -> np.ndarray:
-        """(n, 3) learning targets: final pose, scaled by 1/l for pi schemes."""
-        c = d.columns()
-        y = np.column_stack([c["X"], c["Y"], c["theta"]])
-        if self.dimensionless_targets:
-            y[:, 0] /= c["l"]
-            y[:, 1] /= c["l"]
-        return y
+        """(n, 3) learning targets: the final pose, or its pi groups for pi schemes."""
+        exprs = (_GROUP_TARGETS if self.dimensionless_targets else _PHYSICAL_TARGETS)[d.source]
+        row = _variables(d)
+        return np.column_stack([f(row) for f in exprs.values()])
 
-    def target_scale(self, d: Dataset) -> np.ndarray:
-        """(n, 3) multipliers turning predicted targets into physical units."""
-        n = len(d)
-        scale = np.ones((n, 3))
-        if self.dimensionless_targets:
-            l = d.columns()["l"]
-            scale[:, 0] = l
-            scale[:, 1] = l
-        return scale
-
-    def inverse_targets(self, predictions: np.ndarray, d: Dataset) -> np.ndarray:
-        """Map predicted targets back to physical units for the test records."""
+    def inverse_targets(
+        self, predictions: np.ndarray, d: Dataset, outputs: Sequence[int] = (0, 1, 2)
+    ) -> np.ndarray:
+        """Map predicted target columns ``outputs`` back to physical units for the test records."""
         predictions = np.asarray(predictions, dtype=float)
-        if predictions.shape != (len(d), 3):
-            raise ValueError(f"expected predictions of shape {(len(d), 3)}, got {predictions.shape}")
-        return predictions * self.target_scale(d)
+        if predictions.shape != (len(d), len(outputs)):
+            raise ValueError(
+                f"expected predictions of shape {(len(d), len(outputs))}, got {predictions.shape}"
+            )
+        if not self.dimensionless_targets:
+            return predictions
+        labels = list(_GROUP_TARGETS[d.source])
+        pis = {labels[j]: predictions[:, k] for k, j in enumerate(outputs)}
+        physical = inverse_transform_outputs(BASES[d.source], pis, _variables(d))
+        return np.column_stack(list(physical.values()))
 
 
 def make_pipeline(scheme: str) -> Pipeline:

@@ -29,6 +29,8 @@ import numpy as np
 STANDARD_GRAVITY = 9.81
 
 DEFAULT_STEP = 1e-3
+# RK4 steps one maneuver may take; the default grids need at most 5097
+MAX_RK4_STEPS = 10**6
 SURROGATE_SIGMA_XY = 0.005
 SURROGATE_SIGMA_THETA = 0.01
 
@@ -84,10 +86,23 @@ def _require_braking(a: float) -> None:
         raise ValueError(f"maneuver never terminates: deceleration must be negative, got a={a}")
 
 
+def _require_step_budget(v_i: np.ndarray, a: np.ndarray, step: float) -> None:
+    """Reject any maneuver whose stop takes ceil(v_i / |a| / step) > ``MAX_RK4_STEPS`` steps."""
+    steps = np.ceil(v_i / np.abs(a) / step)
+    over = np.flatnonzero(steps > MAX_RK4_STEPS)
+    if over.size:
+        i = over[0]
+        raise ValueError(
+            f"maneuver v_i={v_i[i]}, a={a[i]} needs {steps[i]:.0f} RK4 steps of step={step}, "
+            f"over the budget of {MAX_RK4_STEPS}"
+        )
+
+
 def _integrate_kinematic(
     l: float, v_i: float, a: float, delta: float, step: float
 ) -> tuple[float, float, float, float]:
     """RK4 trajectory until v crosses 0; returns (X, Y, theta, terminal speed)."""
+    _require_step_budget(np.array([v_i]), np.array([a]), step)
     tl = math.tan(delta) / l
     x = y = th = 0.0
     v = v_i
@@ -159,6 +174,7 @@ def simulate_kinematic_batch(
         raise ValueError("all maneuvers must brake (a < 0)")
     if np.any(v_i <= 0):
         raise ValueError("all initial speeds must be positive")
+    _require_step_budget(v_i, a, step)
     n = len(v_i)
     order = np.argsort(-(v_i / -a), kind="stable")
     V = v_i[order].copy()
@@ -219,8 +235,8 @@ def calibrate_step(
         if err <= tol:
             return step
         step /= 2.0
-        if step < 1e-7:
-            raise RuntimeError("RK4 step calibration failed to converge")
+        if step < 1e-7 or probe.v_i / -probe.a / step > MAX_RK4_STEPS:
+            raise RuntimeError(f"RK4 step calibration failed to converge: error {err} > tol {tol}")
 
 
 def _saturated_inputs(

@@ -173,3 +173,20 @@ def test_matrix_one_vehicle_fails(tmp_path, capsys):
     tiny.write_text(TINY_CONF.replace("large = 0.475, 71.12, 71.12\n", ""))
     assert run("matrix", "--config", tiny, "--out", tmp_path / "reports", "--gen") == 2
     assert "at least two vehicles" in capsys.readouterr().err
+
+
+def test_compare_one_vehicle_fails(tmp_path, capsys):
+    tiny = tmp_path / "tiny.conf"
+    tiny.write_text(TINY_CONF.replace("small = 0.345, 37.77, 28.84\n", ""))
+    out = tmp_path / "reports"
+    assert run("compare", "--config", tiny, "--out", out, "--gen", "--target", "large") == 2
+    assert "a comparative study needs at least two vehicles" in capsys.readouterr().err
+    assert not (out / "kinematic" / "comparative.csv").exists()
+
+
+def test_curve_unknown_vehicle_fails(conf, tmp_path, capsys):
+    out = tmp_path / "reports"
+    assert run("curve", "--config", conf, "--out", out, "--gen", "--vehicle", "nope") == 2
+    err = capsys.readouterr().err
+    assert "unknown vehicle 'nope'; known vehicles: small, large" in err
+    assert not (out / "kinematic" / "pi" / "curves").exists()

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from pibrake.dataset import Dataset, ManeuverRecord
+from pibrake import features as features_module
+from pibrake.dataset import Dataset, ManeuverRecord, kinematic_grid, merge, surrogate_grid
+from pibrake.dimensions import DIMENSIONLESS, PiGroup
 from pibrake.features import (
     FeatureMatrix,
     LATERAL_RATIO_CAP,
@@ -299,6 +301,39 @@ def test_features_match_dimension_engine():
     assert y[0] == pytest.approx(basis.group_for("X").evaluate(row), rel=1e-12)
     assert y[1] == pytest.approx(basis.group_for("Y").evaluate(row), rel=1e-12)
     assert y[2] == pytest.approx(basis.group_for("theta").evaluate(row), rel=1e-12)
+
+
+def small_grid(source, vehicle):
+    if source == "kinematic":
+        grid = {"v_i": (0.5, 3.0, 4), "a_g": (0.2, 1.0, 3), "delta": (0.0, 0.7854, 3)}
+        return kinematic_grid(vehicle, step=1e-2, grid=grid)
+    grid = {"mu": (0.2, 0.9), "v_i": (1.0, 3.0, 3), "a_g": (0.2, 1.0, 3), "delta": (0.0, 0.7854)}
+    return surrogate_grid(vehicle, 0, step=1e-2, grid=grid)
+
+
+@pytest.mark.parametrize("source", ["kinematic", "surrogate"])
+def test_derived_pi_columns_are_the_closed_forms_bit_for_bit(source):
+    d = merge([small_grid(source, v) for v in (SMALL, LONG, LARGE)])
+    c = d.columns()
+    pi_inputs = [c["a"] * c["l"] / c["v_i"] ** 2, c["delta"]]
+    if source == "surrogate":
+        pi_inputs += [c["Nf"] / c["Nr"], c["mu"], c["g"] * c["l"] / c["v_i"] ** 2]
+    pi_inputs = np.column_stack(pi_inputs)
+    pi_targets = np.column_stack([c["X"] / c["l"], c["Y"] / c["l"], c["theta"]])
+    k = pi_inputs.shape[1]
+    for scheme in ("pi", "pi-aug", "pi-fillers"):
+        pipe = make_pipeline(scheme)
+        assert np.array_equal(pipe.input_matrix(d).values[:, :k], pi_inputs)
+        y = pipe.target_matrix(d)
+        assert np.array_equal(y, pi_targets)
+        physical = np.column_stack([y[:, 0] * c["l"], y[:, 1] * c["l"], y[:, 2]])
+        assert np.array_equal(pipe.inverse_targets(y, d), physical)
+        columns = features_module._SCHEME_INPUTS[scheme][source].values()
+        groups = [f for f in columns if isinstance(f, PiGroup)]
+        assert len(groups) == k
+        assert all(g.dimension() == DIMENSIONLESS for g in groups)
+    fillers = make_pipeline("pi-fillers").input_matrix(d).values[:, k:]
+    assert np.array_equal(fillers, np.column_stack([c["v_i"], c["l"]]))
 
 
 def test_scheme_registry_complete():

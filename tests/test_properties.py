@@ -1,4 +1,4 @@
-"""Property tests of the dataset layer on tiny grids."""
+"""Property tests on tiny inputs: the dataset layer, pi similarity, and the learner."""
 
 import tempfile
 from pathlib import Path
@@ -9,8 +9,11 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from pibrake import gbt  # noqa: E402
 from pibrake.dataset import (  # noqa: E402
     FLOAT_COLUMNS,
+    Dataset,
+    ManeuverRecord,
     kinematic_grid,
     load_csv,
     merge,
@@ -18,7 +21,8 @@ from pibrake.dataset import (  # noqa: E402
     split,
     surrogate_grid,
 )
-from pibrake.simulator import VehicleSpec  # noqa: E402
+from pibrake.features import FeatureMatrix, make_pipeline  # noqa: E402
+from pibrake.simulator import ManeuverInput, VehicleSpec, simulate_kinematic  # noqa: E402
 
 KIN_GRID = {"v_i": (0.5, 2.0, 3), "a_g": (0.5, 1.0, 2), "delta": (0.0, 0.5, 2)}
 SUR_GRID = {"mu": (0.3, 0.9), "v_i": (1.0, 2.0, 2), "a_g": (0.5, 1.0, 2), "delta": (0.0, 0.5)}
@@ -67,3 +71,40 @@ def test_merge_keeps_row_order(parts_vehicles, seed):
     for name in FLOAT_COLUMNS:
         want = np.concatenate([p.columns()[name] for p in parts])
         np.testing.assert_array_equal(merged.columns()[name], want)
+
+
+@FEW
+@given(
+    st.floats(min_value=0.2, max_value=1.0),
+    st.floats(min_value=0.2, max_value=1.0),
+    st.floats(min_value=0.5, max_value=3.0),
+    st.floats(min_value=1.0, max_value=9.81),
+    st.floats(min_value=0.0, max_value=0.7854),
+)
+def test_pi_similarity(l_one, l_two, v_i, decel, delta):
+    # equal a l / v_i^2 and delta on two wheelbases: equal pi inputs and pi outcomes
+    records = []
+    for l, a in ((l_one, -decel), (l_two, -decel * l_one / l_two)):
+        vehicle = VehicleSpec(f"l={l}", l, 30.0, 30.0)
+        inputs = ManeuverInput(v_i, a, delta)
+        records.append(ManeuverRecord(vehicle, inputs, simulate_kinematic(vehicle, inputs), "kinematic"))
+    pipe = make_pipeline("pi")
+    x = pipe.input_matrix(Dataset(records)).values
+    np.testing.assert_allclose(x[1], x[0], rtol=1e-12)
+    y = pipe.target_matrix(Dataset(records))
+    np.testing.assert_allclose(y[1], y[0], rtol=0, atol=1e-6)
+
+
+@FEW
+@given(st.integers(0, 2**32 - 1), st.integers(20, 60))
+def test_gbt_fit_is_row_permutation_invariant(seed, n):
+    rng = np.random.default_rng(seed)
+    x = np.round(rng.normal(size=(n, 3)), 1)  # rounding makes tied feature values common
+    y = np.round(x[:, 0] - 2 * x[:, 1] * x[:, 2] + rng.normal(size=n), 1)
+    perm = rng.permutation(n)
+    cfg = gbt.GbtConfig(n_rounds=5, max_depth=3, min_samples_leaf=2)
+    cols = ["a", "b", "c"]
+    model = gbt.fit(FeatureMatrix(x, cols), y, cfg)
+    shuffled = gbt.fit(FeatureMatrix(x[perm], cols), y[perm], cfg)
+    probe = rng.normal(size=(50, 3))
+    assert np.array_equal(shuffled.predict(probe), model.predict(probe))

@@ -1,8 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
+from pibrake import simulator
 from pibrake.simulator import (
     FinalPose,
     ManeuverInput,
@@ -214,3 +216,21 @@ def test_surrogate_batch_matches_scalar():
         m = ManeuverInput(float(v[i]), float(a[i]), float(d[i]), mu=float(mu[i]))
         p = simulate_dynamic_surrogate(LARGE, m, record_noise_seed(11, LARGE.name, i))
         assert (p.X, p.Y, p.theta) == (X[i], Y[i], TH[i])
+
+
+def test_step_budget_rejects_endless_maneuver():
+    # 50 m/s at 1 mm/s^2 needs 5e7 steps of 1 ms: a hang without the budget
+    pattern = r"v_i=50\.0, a=-0\.001 needs 50000000 RK4 steps of step=0\.001"
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=pattern):
+        simulate_kinematic(LONG, ManeuverInput(50.0, -1e-3, 0.2))
+    with pytest.raises(ValueError, match=pattern):
+        simulate_kinematic_batch(LONG.wheelbase_l, np.array([2.0, 50.0]), np.array([-1.0, -1e-3]), np.zeros(2))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_calibrate_step_fails_clearly_at_the_budget(monkeypatch):
+    # the default probe needs 510 steps of 1e-2 s, and 1020 once the step halves
+    monkeypatch.setattr(simulator, "MAX_RK4_STEPS", 1000)
+    with pytest.raises(RuntimeError, match="failed to converge"):
+        calibrate_step(SMALL, tol=1e-300, initial=1e-2)
