@@ -33,7 +33,7 @@ from .experiments import (
     run_matrix,
 )
 from .features import FeatureMatrix, Pipeline, SCHEME_NAMES, make_pipeline
-from .gbt import Ensemble, GbtConfig, RegressionTree, fit, fit_multi, predict
+from .gbt import Ensemble, GbtConfig, RegressionTree, fit
 from .simulator import (
     FinalPose,
     ManeuverInput,

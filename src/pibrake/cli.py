@@ -81,7 +81,7 @@ def build_parser() -> _Parser:
         _add_common(p)
         _add_gbt(p)
         p.add_argument("--source", choices=("kinematic", "surrogate"))
-        p.add_argument("--gen", action="store_true", help="generate missing datasets first")
+        p.add_argument("--gen", action="store_true", help="generate missing or stale datasets first")
         if name == "matrix":
             p.add_argument("--scheme", choices=SCHEME_NAMES)
         if name == "curve":
@@ -98,28 +98,28 @@ def build_parser() -> _Parser:
 
 def _resolve_config(args) -> RunConfig:
     cfg = load_run_config(args.config)
-    if args.vehicles:
+    if args.vehicles is not None:
         vcfg = load_run_config(args.vehicles)
         cfg.vehicles = vcfg.vehicles
     if args.seed is not None:
         cfg.seed = args.seed
     if args.out is not None:
         cfg.out_dir = Path(args.out)
-    if getattr(args, "source", None):
+    if getattr(args, "source", None) is not None:
         cfg.source = args.source
-    if getattr(args, "scheme", None):
+    if getattr(args, "scheme", None) is not None:
         cfg.scheme = args.scheme
     for attr, field_name in (("rounds", "n_rounds"), ("depth", "max_depth"), ("lr", "learning_rate")):
         v = getattr(args, attr, None)
         if v is not None:
             cfg.gbt = replace(cfg.gbt, **{field_name: v})
-    if getattr(args, "fractions", None):
+    if getattr(args, "fractions", None) is not None:
         cfg.fractions = tuple(float(t) for t in args.fractions.replace(",", " ").split())
-    if getattr(args, "repeats", None):
+    if getattr(args, "repeats", None) is not None:
         cfg.repeats = args.repeats
-    if getattr(args, "target", None):
+    if getattr(args, "target", None) is not None:
         cfg.target_vehicle = args.target
-    if getattr(args, "output", None):
+    if getattr(args, "output", None) is not None:
         cfg.target_output = args.output
     return cfg
 
@@ -129,10 +129,24 @@ def _dataset_paths(cfg: RunConfig, source: str) -> dict[str, Path]:
 
 
 def _load_datasets(cfg: RunConfig, source: str, gen: bool) -> dict[str, Dataset]:
+    """The saved datasets of the configured vehicles.
+
+    A missing dataset, or a stale one (saved for another vehicle geometry),
+    raises; with ``gen`` it makes every dataset of the source generated anew.
+    """
     paths = _dataset_paths(cfg, source)
     if all(p.exists() for p in paths.values()):
-        return {name: load_csv(p) for name, p in paths.items()}
-    if not gen:
+        datasets = {name: load_csv(p) for name, p in paths.items()}
+        stale = [name for name, ds in datasets.items() if ds.vehicles != (cfg.vehicles[name],)]
+        if not stale:
+            return datasets
+        if not gen:
+            name = stale[0]
+            raise ValueError(
+                f"stale dataset {paths[name]}: it holds {datasets[name].vehicles}, but the config "
+                f"gives {cfg.vehicles[name]}; pass --gen to regenerate it"
+            )
+    elif not gen:
         missing = [str(p) for p in paths.values() if not p.exists()]
         raise FileNotFoundError(
             f"missing datasets {missing}; run `pibrake gen --source {source}` or pass --gen"

@@ -13,7 +13,6 @@ Config files are flat ``key = value`` INI sections::
     lr = 0.1
     depth = 6
     min_samples_leaf = 5
-    subsample = 1.0
 
     [vehicles]
     small = 0.345, 37.77, 28.84
@@ -25,7 +24,10 @@ Config files are flat ``key = value`` INI sections::
     v_i = 0.1, 5.0, 50
 
 Every key has a built-in default, so an empty (or absent) file is a valid
-configuration.  CLI flags override file values.
+configuration.  CLI flags override file values.  ``[gbt]`` holds the four
+learner settings and nothing else: the learner draws no random numbers, and
+the ``[run]`` seed drives the train/test splits, the learning-curve subsets
+and the surrogate noise.
 """
 
 from __future__ import annotations
@@ -86,8 +88,7 @@ _FIELDS = {
     },
     "gbt": {
         "rounds": ("n_rounds", int), "lr": ("learning_rate", float), "depth": ("max_depth", int),
-        "min_samples_leaf": ("min_samples_leaf", int), "subsample": ("subsample", float),
-        "seed": ("seed", int),
+        "min_samples_leaf": ("min_samples_leaf", int),
     },
     "curve": {"fractions": ("fractions", _floats), "repeats": ("repeats", int)},
     "compare": {"target": ("target_vehicle", str), "output": ("target_output", str)},

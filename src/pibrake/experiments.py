@@ -14,7 +14,7 @@ appear in any model's training data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -26,6 +26,9 @@ from .features import Pipeline, SCHEME_NAMES, make_pipeline
 from .gbt import Ensemble, GbtConfig
 
 MERGED = "MERGED"
+
+# labels the studies give their own models and training sources
+RESERVED_NAMES = (MERGED, "own", "merged")
 
 KINDS = ("self", "cross", "shared")
 
@@ -118,21 +121,35 @@ def audit_no_leakage(
     return violations
 
 
+def _split_all(
+    datasets: Mapping[str, Dataset], seed: int
+) -> tuple[dict[str, Dataset], dict[str, Dataset], Dataset]:
+    """Seeded train/test split of every vehicle, plus the merged training splits."""
+    for name in RESERVED_NAMES:
+        if name in datasets:
+            raise ValueError(f"vehicle name {name!r} is reserved; rename the vehicle")
+    trains: dict[str, Dataset] = {}
+    tests: dict[str, Dataset] = {}
+    for name, ds in datasets.items():
+        trains[name], tests[name] = split(ds, TRAIN_FRACTION, seed)
+    return trains, tests, merge(list(trains.values()))
+
+
 def _fit_model(
     scheme: str, train: Dataset, cfg: GbtConfig, outputs: Sequence[int] = (0, 1, 2)
 ) -> tuple[Pipeline, tuple[Ensemble, ...]]:
-    """One ensemble per requested target column j, seeded ``cfg.seed + j``."""
+    """One ensemble per requested target column, all fit with the same ``cfg``."""
     pipe = make_pipeline(scheme).fit(train)
-    x = pipe.input_matrix(train)
+    x = pipe.input_matrix(train).values
     y = pipe.target_matrix(train)
-    return pipe, tuple(gbt.fit(x, y[:, j], replace(cfg, seed=cfg.seed + j)) for j in outputs)
+    return pipe, tuple(gbt.fit(x, y[:, j], cfg) for j in outputs)
 
 
 def _predict_physical(
     pipe: Pipeline, ensembles: Sequence[Ensemble], test: Dataset, outputs: Sequence[int] = (0, 1, 2)
 ) -> np.ndarray:
     """(n, len(outputs)) predictions for the test rows, in physical units."""
-    x = pipe.input_matrix(test)
+    x = pipe.input_matrix(test).values
     return pipe.inverse_targets(np.column_stack([e.predict(x) for e in ensembles]), test, outputs)
 
 
@@ -154,12 +171,8 @@ def run_matrix(
     if len(names) < 2:
         raise ValueError(f"a matrix run needs at least two vehicles, got {names}")
     source = datasets[names[0]].source
-    trains: dict[str, Dataset] = {}
-    tests: dict[str, Dataset] = {}
-    for name, ds in datasets.items():
-        trains[name], tests[name] = split(ds, TRAIN_FRACTION, seed)
-    train_by_model = dict(trains)
-    train_by_model[MERGED] = merge(list(trains.values()))
+    trains, tests, merged = _split_all(datasets, seed)
+    train_by_model = {**trains, MERGED: merged}
 
     violations = audit_no_leakage(train_by_model, tests)
     if violations:
@@ -210,6 +223,8 @@ def learning_curve(
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
+    if not fractions:
+        raise ValueError("fractions must not be empty")
     if any(not 0.0 < f <= 1.0 for f in fractions):
         raise ValueError("fractions must lie in (0, 1]")
     _require_vehicle(datasets, vehicle, "vehicle")
@@ -274,10 +289,7 @@ def comparative_study(
     if len(names) < 2:
         raise ValueError(f"a comparative study needs at least two vehicles, got {names}")
     col = OUTPUT_COLUMNS[output]
-    trains: dict[str, Dataset] = {}
-    tests: dict[str, Dataset] = {}
-    for name, ds in datasets.items():
-        trains[name], tests[name] = split(ds, TRAIN_FRACTION, seed)
+    trains, tests, merged = _split_all(datasets, seed)
     test = tests[target_vehicle]
     actual = _actual_pose(test)[:, col]
 
@@ -285,7 +297,7 @@ def comparative_study(
     for name in names:
         if name != target_vehicle:
             sources[name] = trains[name]
-    sources["merged"] = merge(list(trains.values()))
+    sources["merged"] = merged
 
     study = ComparativeStudy(
         target_vehicle=target_vehicle,

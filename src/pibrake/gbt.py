@@ -9,20 +9,19 @@ lowest threshold.
 
 Determinism is taken seriously: training rows are put into a canonical order
 (lexicographic in the feature columns, then the target) before anything else
-happens, so fitting is bit-for-bit invariant under row permutation when
-subsample = 1, and identical seeds give identical models regardless of
-thread count.
+happens, so fitting is bit-for-bit invariant under row permutation.  The
+learner draws no random numbers: one config and one training set give one
+model, bit for bit, regardless of thread count.  Every tree sees every
+training row.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
-
-from .features import FeatureMatrix
 
 
 @dataclass(frozen=True)
@@ -36,8 +35,6 @@ class GbtConfig:
     learning_rate: float = 0.1
     max_depth: int = 6
     min_samples_leaf: int = 5
-    subsample: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_rounds < 1:
@@ -48,8 +45,6 @@ class GbtConfig:
             raise ValueError("max_depth must be >= 1")
         if self.min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be >= 1")
-        if not 0.0 < self.subsample <= 1.0:
-            raise ValueError("subsample must be in (0, 1]")
 
 
 def _ordered_sum(values: np.ndarray) -> float:
@@ -138,8 +133,9 @@ def _build_tree(
     resid: np.ndarray,
     root_orders: list[np.ndarray],
     cfg: GbtConfig,
-    leaf_out: np.ndarray | None = None,
+    leaf_out: np.ndarray,
 ) -> RegressionTree:
+    """Grow one tree on the rows of ``root_orders``; each row's leaf value goes to ``leaf_out``."""
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
@@ -160,8 +156,7 @@ def _build_tree(
             found = _best_split(x, resid, orders, cfg.min_samples_leaf)
         if found is None:
             value[nid] = float(np.sum(y)) / n  # summation order fixed by orders[0]
-            if leaf_out is not None:
-                leaf_out[orders[0]] = value[nid]
+            leaf_out[orders[0]] = value[nid]
             return nid
         f, thr = found
         feature[nid] = f
@@ -183,10 +178,9 @@ class Ensemble:
     trees: list[RegressionTree]
     config: GbtConfig
     n_features: int
-    train_loss: list[float] | None = None
 
-    def predict(self, x: FeatureMatrix | np.ndarray) -> np.ndarray:
-        x = _as_array(x)
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.n_features:
             raise ValueError(f"expected {self.n_features} feature columns, got shape {x.shape}")
         out = np.full(x.shape[0], self.base_score)
@@ -212,20 +206,9 @@ class Ensemble:
         )
 
 
-def _as_array(x: FeatureMatrix | np.ndarray) -> np.ndarray:
-    if isinstance(x, FeatureMatrix):
-        return x.values
-    return np.asarray(x, dtype=float)
-
-
-def fit(
-    x: FeatureMatrix | np.ndarray,
-    y: np.ndarray,
-    cfg: GbtConfig = GbtConfig(),
-    track_loss: bool = False,
-) -> Ensemble:
+def fit(x: np.ndarray, y: np.ndarray, cfg: GbtConfig = GbtConfig()) -> Ensemble:
     """Boost cfg.n_rounds trees onto the residuals of a squared-loss model."""
-    x = _as_array(x)
+    x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n = x.shape[0] if x.ndim == 2 else 0
     if n == 0 or y.shape != (n,):
@@ -245,42 +228,12 @@ def fit(
 
     base = _ordered_sum(y) / n
     pred = np.full(n, base)
-    rng = np.random.default_rng(cfg.seed)
     trees: list[RegressionTree] = []
-    losses: list[float] = []
-    m_sub = max(1, int(round(cfg.subsample * n)))
     tree_pred = np.empty(n)
     for _ in range(cfg.n_rounds):
-        resid = y - pred
-        if cfg.subsample < 1.0:
-            keep = np.zeros(n, dtype=bool)
-            keep[rng.choice(n, size=m_sub, replace=False)] = True
-            orders = [o[keep[o]] for o in full_orders]
-            tree = _build_tree(x, resid, orders, cfg)
-            pred += cfg.learning_rate * tree.predict(x)
-        else:
-            tree = _build_tree(x, resid, full_orders, cfg, leaf_out=tree_pred)
-            pred += cfg.learning_rate * tree_pred
-        trees.append(tree)
-        if track_loss:
-            losses.append(float(np.mean((y - pred) ** 2)))
-    return Ensemble(base, trees, cfg, n_features=p, train_loss=losses if track_loss else None)
-
-
-def predict(e: Ensemble, x: FeatureMatrix | np.ndarray) -> np.ndarray:
-    return e.predict(x)
-
-
-def fit_multi(
-    x: FeatureMatrix | np.ndarray, y: np.ndarray, cfg: GbtConfig = GbtConfig()
-) -> tuple[Ensemble, Ensemble, Ensemble]:
-    """One independently-seeded ensemble per output column (seed, seed+1, seed+2)."""
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 2 or y.shape[1] != 3:
-        raise ValueError(f"expected (n, 3) targets, got {y.shape}")
-    return tuple(
-        fit(x, y[:, j], replace(cfg, seed=cfg.seed + j)) for j in range(3)
-    )
+        trees.append(_build_tree(x, y - pred, full_orders, cfg, tree_pred))
+        pred += cfg.learning_rate * tree_pred
+    return Ensemble(base, trees, cfg, n_features=p)
 
 
 def save_ensembles(ensembles: list[Ensemble] | tuple[Ensemble, ...] | Ensemble, path: str | Path) -> Path:

@@ -1,6 +1,7 @@
 import pytest
 
 from pibrake.cli import main
+from pibrake.dataset import load_csv
 
 TINY_CONF = """
 [run]
@@ -190,3 +191,50 @@ def test_curve_unknown_vehicle_fails(conf, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "unknown vehicle 'nope'; known vehicles: small, large" in err
     assert not (out / "kinematic" / "pi" / "curves").exists()
+
+
+@pytest.mark.parametrize(
+    "conf_text, argv, message",
+    [
+        (TINY_CONF, ["--repeats", 0], "repeats must be >= 1"),
+        (TINY_CONF, ["--fractions", ""], "fractions must not be empty"),
+        (TINY_CONF.replace("fractions = 0.5, 1.0", "fractions ="), [], "fractions must not be empty"),
+        (TINY_CONF, ["--vehicles", ""], "config file not found"),
+    ],
+    ids=["repeats-0", "fractions-flag-empty", "fractions-key-empty", "vehicles-flag-empty"],
+)
+def test_curve_zero_or_empty_values_fail(tmp_path, capsys, conf_text, argv, message):
+    conf = tmp_path / "tiny.conf"
+    conf.write_text(conf_text)
+    out = tmp_path / "reports"
+    assert run("curve", "--config", conf, "--out", out, "--gen", "--vehicle", "small", *argv) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "kinematic" / "pi" / "curves").exists()
+
+
+STRETCHED = "[vehicles]\nsmall = 0.5, 37.77, 28.84\nlarge = 0.475, 71.12, 71.12\n"
+
+
+def test_stale_dataset_geometry_fails(conf, tmp_path, capsys):
+    out = tmp_path / "reports"
+    assert run("gen", "--config", conf, "--out", out) == 0
+    stretched = tmp_path / "veh.conf"
+    stretched.write_text(STRETCHED)
+    capsys.readouterr()
+    assert run("matrix", "--config", conf, "--vehicles", stretched, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "stale dataset" in err and "small.csv" in err
+    geometry = "VehicleSpec(name='small', wheelbase_l={}, front_normal_Nf=37.77, rear_normal_Nr=28.84)"
+    assert geometry.format(0.345) in err and geometry.format(0.5) in err
+    assert not (out / "kinematic" / "pi").exists()
+
+
+def test_gen_regenerates_stale_dataset(conf, tmp_path):
+    out = tmp_path / "reports"
+    assert run("gen", "--config", conf, "--out", out) == 0
+    stretched = tmp_path / "veh.conf"
+    stretched.write_text(STRETCHED)
+    assert run("matrix", "--config", conf, "--vehicles", stretched, "--out", out, "--gen") == 0
+    small = load_csv(out / "data" / "kinematic" / "small.csv")
+    assert [v.wheelbase_l for v in small.vehicles] == [0.5]
+    assert run("matrix", "--config", conf, "--vehicles", stretched, "--out", out) == 0

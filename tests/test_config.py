@@ -34,7 +34,6 @@ rounds = 42
 lr = 0.2
 depth = 5
 min_samples_leaf = 3
-subsample = 0.9
 
 [vehicles]
 one = 0.5, 20, 30
@@ -66,7 +65,6 @@ F = M L T^-2
     assert cfg.gbt.n_rounds == 42
     assert cfg.gbt.learning_rate == 0.2
     assert cfg.gbt.max_depth == 5
-    assert cfg.gbt.subsample == 0.9
     assert list(cfg.vehicles) == ["one"]
     assert cfg.vehicles["one"].wheelbase_l == 0.5
     assert cfg.fractions == (0.1, 0.5)
@@ -97,6 +95,8 @@ def test_bad_vehicle_line(tmp_path):
         ("[DEFAULT]\nseed = 1\n", ["[DEFAULT]"]),
         ("[run]\nscheme = autoencoder\n", ["scheme", "'autoencoder'"]),
         ("[run]\nsource = lidar\n", ["source", "'lidar'"]),
+        ("[gbt]\nsubsample = 0.9\n", ["'subsample'", "[gbt]"]),
+        ("[gbt]\nseed = 1\n", ["'seed'", "[gbt]"]),
     ],
 )
 def test_unknown_or_invalid_entries_rejected(tmp_path, text, names):

@@ -4,6 +4,7 @@ import pytest
 from pibrake.dataset import DEFAULT_VEHICLES, Dataset, kinematic_grid, split, surrogate_grid
 from pibrake.experiments import (
     MERGED,
+    RESERVED_NAMES,
     PredictionCell,
     audit_no_leakage,
     comparative_study,
@@ -144,6 +145,18 @@ def test_comparative_study_validation(tiny_datasets):
         comparative_study(tiny_datasets, "large", "Z", FAST_CFG, seed=0)
     with pytest.raises(ValueError, match="target"):
         comparative_study(tiny_datasets, "huge", "Y", FAST_CFG, seed=0)
+
+
+@pytest.mark.parametrize("study", ["matrix", "compare"])
+@pytest.mark.parametrize("name", RESERVED_NAMES)
+def test_reserved_vehicle_names_rejected(tiny_datasets, name, study):
+    datasets = dict(tiny_datasets)
+    datasets[name] = datasets.pop("long")
+    with pytest.raises(ValueError, match=f"vehicle name '{name}' is reserved"):
+        if study == "matrix":
+            run_matrix(datasets, "pi", FAST_CFG, seed=0)
+        else:
+            comparative_study(datasets, "large", "Y", FAST_CFG, seed=0, schemes=("pi",))
 
 
 def test_emit_matrix_report(tiny_report, tmp_path):

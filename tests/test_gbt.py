@@ -1,15 +1,7 @@
 import numpy as np
 import pytest
 
-from pibrake.gbt import (
-    Ensemble,
-    GbtConfig,
-    fit,
-    fit_multi,
-    load_ensembles,
-    predict,
-    save_ensembles,
-)
+from pibrake.gbt import Ensemble, GbtConfig, fit, load_ensembles, save_ensembles
 
 
 def test_config_validation():
@@ -22,7 +14,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         GbtConfig(max_depth=0)
     with pytest.raises(ValueError):
-        GbtConfig(subsample=0.0)
+        GbtConfig(min_samples_leaf=0)
 
 
 def test_constant_target_gives_splitless_trees():
@@ -45,7 +37,7 @@ def test_determinism_same_seed():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(300, 4))
     y = np.sin(x[:, 0]) + x[:, 1] ** 2
-    cfg = GbtConfig(n_rounds=60, seed=9)
+    cfg = GbtConfig(n_rounds=60)
     p1 = fit(x, y, cfg).predict(x)
     p2 = fit(x, y, cfg).predict(x)
     np.testing.assert_array_equal(p1, p2)
@@ -66,21 +58,17 @@ def test_row_permutation_invariance():
         np.testing.assert_array_equal(fit(x[perm], y[perm], cfg).predict(probe), base)
 
 
-def test_subsample_deterministic():
-    rng = np.random.default_rng(3)
-    x = rng.normal(size=(200, 3))
-    y = x @ np.array([1.0, -1.0, 0.5])
-    cfg = GbtConfig(n_rounds=30, subsample=0.6, seed=4)
-    np.testing.assert_array_equal(fit(x, y, cfg).predict(x), fit(x, y, cfg).predict(x))
-
-
 def test_training_loss_non_increasing():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(250, 3))
     y = np.sin(2 * x[:, 0]) + 0.3 * x[:, 1]
-    e = fit(x, y, GbtConfig(n_rounds=120), track_loss=True)
-    losses = np.array(e.train_loss)
-    assert len(losses) == 120
+    e = fit(x, y, GbtConfig(n_rounds=120))
+    assert len(e.trees) == 120
+    # training loss after each round, scored on the ensemble truncated to k trees
+    losses = np.array(
+        [np.mean((y - Ensemble(e.base_score, e.trees[:k], e.config, e.n_features).predict(x)) ** 2)
+         for k in range(1, 121)]
+    )
     assert (np.diff(losses) <= 1e-12).all()
 
 
@@ -126,7 +114,7 @@ def test_predict_shape_validation():
     e = fit(x, x[:, 0], GbtConfig(n_rounds=5))
     with pytest.raises(ValueError, match="feature columns"):
         e.predict(np.zeros((4, 2)))
-    assert np.isfinite(predict(e, np.zeros((4, 3)))).all()
+    assert np.isfinite(e.predict(np.zeros((4, 3)))).all()
 
 
 def test_fit_input_validation():
@@ -155,26 +143,12 @@ def test_min_samples_leaf_respected():
     assert counts.min() >= 10
 
 
-def test_fit_multi_matches_single_fits():
-    rng = np.random.default_rng(10)
-    x = rng.normal(size=(120, 3))
-    y = np.column_stack([x[:, 0], x[:, 1] * 2, x[:, 2] - x[:, 0]])
-    cfg = GbtConfig(n_rounds=20, seed=5)
-    triple = fit_multi(x, y, cfg)
-    assert len(triple) == 3
-    for j, e in enumerate(triple):
-        single = fit(x, y[:, j], GbtConfig(n_rounds=20, seed=5 + j))
-        np.testing.assert_array_equal(e.predict(x), single.predict(x))
-    with pytest.raises(ValueError, match="targets"):
-        fit_multi(x, y[:, :2], cfg)
-
-
 def test_serialization_round_trip(tmp_path):
     rng = np.random.default_rng(11)
     x = rng.normal(size=(100, 2))
     y = np.column_stack([np.sin(x[:, 0]), x[:, 1], x[:, 0] * x[:, 1]])
-    triple = fit_multi(x, y, GbtConfig(n_rounds=15))
-    path = save_ensembles(list(triple), tmp_path / "model.json")
+    triple = [fit(x, y[:, j], GbtConfig(n_rounds=15)) for j in range(3)]
+    path = save_ensembles(triple, tmp_path / "model.json")
     loaded = load_ensembles(path)
     assert len(loaded) == 3
     for orig, back in zip(triple, loaded):

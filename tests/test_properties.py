@@ -1,6 +1,7 @@
-"""Property tests on tiny inputs: the dataset layer, pi similarity, and the learner."""
+"""Property tests on tiny inputs: the dataset layer, the leakage audit, pi similarity, and the learner."""
 
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,8 @@ from pibrake.dataset import (  # noqa: E402
     split,
     surrogate_grid,
 )
-from pibrake.features import FeatureMatrix, make_pipeline  # noqa: E402
+from pibrake.experiments import audit_no_leakage  # noqa: E402
+from pibrake.features import make_pipeline  # noqa: E402
 from pibrake.simulator import ManeuverInput, VehicleSpec, simulate_kinematic  # noqa: E402
 
 KIN_GRID = {"v_i": (0.5, 2.0, 3), "a_g": (0.5, 1.0, 2), "delta": (0.0, 0.5, 2)}
@@ -75,6 +77,29 @@ def test_merge_keeps_row_order(parts_vehicles, seed):
 
 @FEW
 @given(
+    st.lists(vehicles, min_size=2, max_size=2, unique=True),
+    st.sampled_from(["kinematic", "surrogate"]),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_audit_flags_exactly_the_leaked_vehicle(pair, source, seed, data):
+    trains, tests = {}, {}
+    for name, vehicle in zip(("one", "two"), pair):
+        trains[name], tests[name] = split(grid(vehicle, source, seed), 0.8, seed)
+    models = {**trains, "merged": merge(list(trains.values()))}
+    assert audit_no_leakage(models, tests) == []
+    row = [data.draw(st.integers(0, len(tests["one"]) - 1))]
+    leaked = merge([trains["two"], tests["one"].take(row, "leak")])
+    assert audit_no_leakage({"m": leaked}, tests) == [("m", "one")]
+    # the same inputs on the same name with another wheelbase are another experiment
+    other = replace(pair[0], wheelbase_l=2 * pair[0].wheelbase_l)
+    _, moved = split(grid(other, source, seed), 0.8, seed)
+    moved_in = merge([trains["two"], moved.take(row, "moved")])
+    assert audit_no_leakage({"m": moved_in}, {"one": tests["one"]}) == []
+
+
+@FEW
+@given(
     st.floats(min_value=0.2, max_value=1.0),
     st.floats(min_value=0.2, max_value=1.0),
     st.floats(min_value=0.5, max_value=3.0),
@@ -103,8 +128,7 @@ def test_gbt_fit_is_row_permutation_invariant(seed, n):
     y = np.round(x[:, 0] - 2 * x[:, 1] * x[:, 2] + rng.normal(size=n), 1)
     perm = rng.permutation(n)
     cfg = gbt.GbtConfig(n_rounds=5, max_depth=3, min_samples_leaf=2)
-    cols = ["a", "b", "c"]
-    model = gbt.fit(FeatureMatrix(x, cols), y, cfg)
-    shuffled = gbt.fit(FeatureMatrix(x[perm], cols), y[perm], cfg)
+    model = gbt.fit(x, y, cfg)
+    shuffled = gbt.fit(x[perm], y[perm], cfg)
     probe = rng.normal(size=(50, 3))
     assert np.array_equal(shuffled.predict(probe), model.predict(probe))
