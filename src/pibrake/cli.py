@@ -19,7 +19,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import RunConfig, load_run_config
+from .config import RunConfig, load_run_config, load_vehicles
 from .dataset import Dataset, generate, load_csv, save_csv
 from .dimensions import (
     DEFAULT_REPEATED,
@@ -48,7 +48,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="config file (flat key = value sections)")
-    p.add_argument("--vehicles", help="config file whose [vehicles] section lists name = l, Nf, Nr")
+    p.add_argument("--vehicles", help="file holding only a [vehicles] section: name = l, Nf, Nr")
     p.add_argument("--seed", type=int, help="run seed (splits, surrogate noise)")
     p.add_argument("--out", help="output directory (default: reports)")
 
@@ -99,8 +99,7 @@ def build_parser() -> _Parser:
 def _resolve_config(args) -> RunConfig:
     cfg = load_run_config(args.config)
     if args.vehicles is not None:
-        vcfg = load_run_config(args.vehicles)
-        cfg.vehicles = vcfg.vehicles
+        cfg.vehicles = load_vehicles(args.vehicles)
     if args.seed is not None:
         cfg.seed = args.seed
     if args.out is not None:

@@ -111,6 +111,28 @@ def parse_vehicles(section: dict[str, str]) -> dict[str, VehicleSpec]:
     return out
 
 
+def _read(path: str | Path) -> configparser.ConfigParser:
+    """Parse a config file; a missing file or a ``[DEFAULT]`` section raises."""
+    parser = configparser.ConfigParser()
+    parser.optionxform = str  # keep case: variable and vehicle names matter
+    read = parser.read(path)
+    if not read:
+        raise FileNotFoundError(f"config file not found: {path}")
+    if parser.defaults():
+        raise ValueError(f"config {path}: unknown section [{parser.default_section}]")
+    return parser
+
+
+def load_vehicles(path: str | Path) -> dict[str, VehicleSpec]:
+    """The vehicle registry of a file holding one ``[vehicles]`` section and no other."""
+    parser = _read(path)
+    if parser.sections() != ["vehicles"]:
+        raise ValueError(
+            f"vehicles file {path}: needs exactly one [vehicles] section, got {parser.sections()}"
+        )
+    return parse_vehicles(dict(parser["vehicles"]))
+
+
 def load_run_config(path: str | Path | None = None) -> RunConfig:
     """Read a config file into a RunConfig; missing keys keep their defaults.
 
@@ -120,13 +142,7 @@ def load_run_config(path: str | Path | None = None) -> RunConfig:
     cfg = RunConfig()
     if path is None:
         return cfg
-    parser = configparser.ConfigParser()
-    parser.optionxform = str  # keep case: variable and vehicle names matter
-    read = parser.read(path)
-    if not read:
-        raise FileNotFoundError(f"config file not found: {path}")
-    if parser.defaults():
-        raise ValueError(f"config {path}: unknown section [{parser.default_section}]")
+    parser = _read(path)
     for section in parser.sections():
         if section not in SECTION_KEYS:
             raise ValueError(f"config {path}: unknown section [{section}]")

@@ -64,9 +64,11 @@ FLOAT_COLUMNS = tuple(CSV_HEADER[1:-1])
 VEHICLE_COLUMNS = ("l", "Nf", "Nr")
 ROW_COLUMNS = tuple(c for c in FLOAT_COLUMNS if c not in VEHICLE_COLUMNS)
 
-# the per-row conditions of ManeuverInput and FinalPose, checked over whole columns
+# the per-row conditions of ManeuverInput and FinalPose, and braking (a < 0),
+# checked over whole columns
 _ROW_CHECKS = (
     ("v_i", lambda v: v > 0, "initial speed must be positive"),
+    ("a", lambda a: a < 0, "deceleration must be negative"),
     ("delta", lambda d: np.abs(d) < math.pi / 2, "steering angle must satisfy |delta| < pi/2"),
     ("g", lambda g: g > 0, "gravity must be positive"),
     *((name, np.isfinite, f"non-finite final pose {name}") for name in ("X", "Y", "theta")),

@@ -124,13 +124,9 @@ class DimensionMatrix:
     def columns(self) -> list[tuple[Fraction, Fraction, Fraction]]:
         return [v.dimension.exponents() for v in self.variables]
 
-    def rows(self) -> list[list[Fraction]]:
-        cols = self.columns
-        return [[c[i] for c in cols] for i in range(3)]
-
     @property
     def rank(self) -> int:
-        _, pivots = _rref(self.rows())
+        pivots, _ = _nullspace(self.variables)
         return len(pivots)
 
 
@@ -269,24 +265,30 @@ def _canonicalize(exps: list[Fraction]) -> tuple[Fraction, ...]:
     return tuple(Fraction(v) for v in ints)
 
 
+def _nullspace(variables: Sequence[VariableDecl]) -> tuple[list[int], list[list[Fraction]]]:
+    """The pivot columns of the dimension matrix of ``variables`` (in the given
+    column order), and one exact nullspace vector per free column: exponent 1
+    on that column, 0 on the other free columns, solved on the pivots."""
+    rows = [[v.dimension.exponents()[i] for v in variables] for i in range(3)]
+    rref, pivots = _rref(rows)
+    vectors = []
+    for fc in (c for c in range(len(variables)) if c not in pivots):
+        exps = [Fraction(0)] * len(variables)
+        exps[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            exps[pc] = -rref[r][fc]
+        vectors.append(exps)
+    return pivots, vectors
+
+
 def nullspace_pi_basis(matrix: DimensionMatrix) -> PiBasis:
     """All independent pi groups of a variable set, from the exact nullspace.
 
     Returns N - rank(matrix) groups, each reduced to integer exponents with
     gcd 1 and the first nonzero exponent positive.
     """
-    rows = matrix.rows()
-    rref, pivots = _rref(rows)
-    n = len(matrix.variables)
-    free_cols = [c for c in range(n) if c not in pivots]
-    groups = []
-    for fc in free_cols:
-        exps = [Fraction(0)] * n
-        exps[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            exps[pc] = -rref[r][fc]
-        groups.append(PiGroup(matrix.variables, _canonicalize(exps)))
-    return PiBasis(matrix, tuple(groups))
+    _, vectors = _nullspace(matrix.variables)
+    return PiBasis(matrix, tuple(PiGroup(matrix.variables, _canonicalize(e)) for e in vectors))
 
 
 def repeated_vars_pi_basis(
@@ -297,7 +299,9 @@ def repeated_vars_pi_basis(
     Each non-repeated variable appears in exactly one group with exponent +1;
     the repeated variables take the solved rational exponents that make the
     group dimensionless.  The repeated set must contain rank(matrix) variables
-    and be dimensionally independent.
+    and be dimensionally independent.  This is the nullspace basis of the
+    variables reordered repeated-first, whose pivots are then the repeated
+    columns.
     """
     by_name = {v.name: v for v in matrix.variables}
     rep: list[VariableDecl] = []
@@ -309,46 +313,20 @@ def repeated_vars_pi_basis(
     if len({v.name for v in rep}) != len(rep):
         raise ValueError("repeated variables must be distinct")
 
-    rank = matrix.rank
-    if len(rep) != rank:
+    order = rep + [v for v in matrix.variables if v not in rep]
+    pivots, vectors = _nullspace(order)
+    if len(rep) != len(pivots):
         raise ValueError(
-            f"repeated set has {len(rep)} variables but the dimension matrix has rank {rank}"
+            f"repeated set has {len(rep)} variables but the dimension matrix has rank {len(pivots)}"
         )
-    sub = build_dimension_matrix(rep)
-    if sub.rank != len(rep):
+    if pivots != list(range(len(rep))):
         raise ValueError("repeated set is dimensionally dependent")
 
-    rep_names = {v.name for v in rep}
-    col_of = {v.name: j for j, v in enumerate(matrix.variables)}
-    groups = []
-    for v in matrix.variables:
-        if v.name in rep_names:
-            continue
-        solved = _solve_exponents(rep, v.dimension)
-        exps = [Fraction(0)] * len(matrix.variables)
-        exps[col_of[v.name]] = Fraction(1)
-        for rv, e in zip(rep, solved):
-            exps[col_of[rv.name]] = e
-        groups.append(PiGroup(matrix.variables, tuple(exps)))
-    return PiBasis(matrix, tuple(groups), tuple(rep))
-
-
-def _solve_exponents(repeated: Sequence[VariableDecl], target: DimensionVector) -> list[Fraction]:
-    """Solve for x with sum_j x_j * dim(repeated_j) = -target, exactly."""
-    k = len(repeated)
-    aug = [
-        [v.dimension.exponents()[i] for v in repeated] + [-target.exponents()[i]]
-        for i in range(3)
-    ]
-    rref, pivots = _rref(aug)
-    if k in pivots:
-        raise ValueError(
-            f"dimension {target} is not expressible with the chosen repeated variables"
-        )
-    x = [Fraction(0)] * k
-    for r, pc in enumerate(pivots):
-        x[pc] = rref[r][k]
-    return x
+    position = {v.name: j for j, v in enumerate(order)}
+    groups = tuple(
+        PiGroup(matrix.variables, tuple(e[position[v.name]] for v in matrix.variables)) for e in vectors
+    )
+    return PiBasis(matrix, groups, tuple(rep))
 
 
 def transform_row(basis: PiBasis, row: Mapping[str, Value]) -> dict[str, Value]:

@@ -71,13 +71,6 @@ def _variables(d: Dataset) -> dict[str, np.ndarray]:
     return {v.name: c[_DATASET_COLUMN.get(v.name, v.name)] for v in BASES[d.source].matrix.variables}
 
 
-def _braking(c: dict) -> np.ndarray:
-    """The deceleration column, rejected when a handcrafted ratio would divide by it."""
-    if (c["a"] == 0).any():
-        raise ValueError("a = 0 makes the handcrafted ratios singular")
-    return c["a"]
-
-
 def _lateral_ratio(c: dict) -> np.ndarray:
     """g mu l / (v_i^2 tan(delta)), clipped to the cap (the cap itself at delta = 0)."""
     den = c["v_i"] ** 2 * np.tan(c["delta"])
@@ -124,14 +117,14 @@ _SCHEME_INPUTS = {
             **_GROUP_INPUTS["kinematic"],
             # the scaled initial yaw rate
             "v_i^2*tan(delta)/(a*l)": lambda c: (
-                c["v_i"] ** 2 * np.tan(c["delta"]) / (_braking(c) * c["l"])
+                c["v_i"] ** 2 * np.tan(c["delta"]) / (c["a"] * c["l"])
             ),
         },
         "surrogate": {
             **_GROUP_INPUTS["surrogate"],
             # longitudinal and lateral adherence ratios
             "N_r*mu*g/((N_f+N_r)*|a|)": lambda c: (
-                c["N_r"] * c["mu"] * c["g"] / ((c["N_f"] + c["N_r"]) * np.abs(_braking(c)))
+                c["N_r"] * c["mu"] * c["g"] / ((c["N_f"] + c["N_r"]) * np.abs(c["a"]))
             ),
             "g*mu*l/(v_i^2*tan(delta))": _lateral_ratio,
         },

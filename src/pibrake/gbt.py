@@ -18,7 +18,7 @@ training row.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -183,6 +183,8 @@ class Ensemble:
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.n_features:
             raise ValueError(f"expected {self.n_features} feature columns, got shape {x.shape}")
+        if not np.isfinite(x).all():
+            raise ValueError("features contain non-finite values")
         out = np.full(x.shape[0], self.base_score)
         for tree in self.trees:
             out += self.config.learning_rate * tree.predict(x)
@@ -215,6 +217,8 @@ def fit(x: np.ndarray, y: np.ndarray, cfg: GbtConfig = GbtConfig()) -> Ensemble:
         raise ValueError(f"need matching nonempty x and y, got {x.shape} and {y.shape}")
     if n < 2 * cfg.min_samples_leaf:
         raise ValueError(f"need at least {2 * cfg.min_samples_leaf} rows, got {n}")
+    if not np.isfinite(x).all():
+        raise ValueError("features contain non-finite values")
     if not np.isfinite(y).all():
         raise ValueError("targets contain non-finite values")
 
@@ -251,4 +255,11 @@ def load_ensembles(path: str | Path) -> list[Ensemble]:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if doc.get("format") != "pibrake-gbt-v1":
         raise ValueError(f"{path} is not a saved model file")
+    known = {f.name for f in fields(GbtConfig)}
+    for d in doc["ensembles"]:
+        unknown = sorted(set(d["config"]) - known)
+        if unknown:
+            raise ValueError(
+                f"{path} was saved by an older pibrake: its learner config has the unknown fields {unknown}"
+            )
     return [Ensemble.from_dict(d) for d in doc["ensembles"]]

@@ -240,9 +240,11 @@ def calibrate_step(
 
 
 def _saturated_inputs(
-    vehicle: VehicleSpec, mu: float, v_i: float, a: float, delta: float, g: float
+    vehicle: VehicleSpec, mu: float | None, v_i: float, a: float, delta: float, g: float
 ) -> tuple[float, float]:
     """Apply rear-axle and lateral adherence limits to (a, delta)."""
+    if mu is None or not 0.0 < mu <= 1.5:
+        raise ValueError(f"surrogate requires mu in (0, 1.5], got {mu}")
     limit = mu * g * vehicle.rear_normal_Nr / (vehicle.front_normal_Nf + vehicle.rear_normal_Nr)
     a_eff = -min(abs(a), limit)
     delta_eff = delta
@@ -278,8 +280,6 @@ def simulate_dynamic_surrogate(
     drawn from ``noise_seed``; pass zero sigmas to disable it.
     """
     _require_braking(m.a)
-    if m.mu is None or not 0.0 < m.mu <= 1.5:
-        raise ValueError(f"surrogate requires mu in (0, 1.5], got {m.mu}")
     a_eff, delta_eff = _saturated_inputs(vehicle, m.mu, m.v_i, m.a, m.delta, m.g)
     x, y, th, _ = _integrate_kinematic(vehicle.wheelbase_l, m.v_i, a_eff, delta_eff, step)
     rng = np.random.default_rng(noise_seed)

@@ -169,6 +169,21 @@ def test_vehicles_file_flag(tmp_path, capsys):
     assert (out / "data" / "kinematic" / "mini.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["[run]\nseed = 3\n", "[vehicles]\nmini = 0.2, 10.0, 10.0\n[run]\nseed = 3\n", ""],
+    ids=["run-only", "vehicles-and-run", "empty"],
+)
+def test_vehicles_file_needs_only_a_vehicles_section(conf, tmp_path, capsys, text):
+    veh = tmp_path / "veh.conf"
+    veh.write_text(text)
+    out = tmp_path / "reports"
+    assert run("gen", "--config", conf, "--vehicles", veh, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert f"vehicles file {veh}: needs exactly one [vehicles] section" in err
+    assert not (out / "data").exists()
+
+
 def test_matrix_one_vehicle_fails(tmp_path, capsys):
     tiny = tmp_path / "tiny.conf"
     tiny.write_text(TINY_CONF.replace("large = 0.475, 71.12, 71.12\n", ""))

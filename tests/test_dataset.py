@@ -166,6 +166,8 @@ def test_grid_override():
     "field, value, message",
     [
         ("v_i", "0.0", "initial speed"),
+        ("a", "2.5", "deceleration must be negative"),
+        ("a", "0.0", "deceleration must be negative"),
         ("delta", "1.6", "steering angle"),
         ("g", "-9.81", "gravity"),
         ("X", "nan", "non-finite"),

@@ -112,7 +112,7 @@ def test_pi_augmented_lateral_cap_at_zero_steering():
 
 def test_pi_augmented_rejects_zero_deceleration():
     r = ManeuverRecord(SMALL, ManeuverInput(1.0, 0.0, 0.1), FinalPose(0, 0, 0), "kinematic")
-    with pytest.raises(ValueError, match="a = 0"):
+    with pytest.raises(ValueError, match="deceleration must be negative"):
         features("pi-aug", r)
 
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,8 @@ def test_predict_shape_validation():
     e = fit(x, x[:, 0], GbtConfig(n_rounds=5))
     with pytest.raises(ValueError, match="feature columns"):
         e.predict(np.zeros((4, 2)))
+    with pytest.raises(ValueError, match="non-finite"):
+        e.predict(np.array([[0.0, np.nan, 0.0]]))
     assert np.isfinite(e.predict(np.zeros((4, 3)))).all()
 
 
@@ -124,6 +128,10 @@ def test_fit_input_validation():
         fit(np.zeros((4, 2)), np.zeros(4), GbtConfig(min_samples_leaf=5))
     with pytest.raises(ValueError, match="finite"):
         fit(np.ones((20, 2)), np.full(20, np.nan), GbtConfig())
+    x = np.ones((20, 2))
+    x[3, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        fit(x, np.zeros(20), GbtConfig())
 
 
 def test_min_samples_leaf_respected():
@@ -158,6 +166,16 @@ def test_serialization_round_trip(tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
         load_ensembles(bad)
+
+
+def test_load_rejects_older_config_fields(tmp_path):
+    x = np.random.default_rng(13).normal(size=(20, 1))
+    path = save_ensembles(fit(x, x[:, 0], GbtConfig(n_rounds=2)), tmp_path / "old.json")
+    doc = json.loads(path.read_text())
+    doc["ensembles"][0]["config"].update(subsample=1.0, seed=0)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"old\.json was saved by an older pibrake.*\['seed', 'subsample'\]"):
+        load_ensembles(path)
 
 
 def test_internal_nodes_have_nonempty_children():

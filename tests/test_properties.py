@@ -1,4 +1,4 @@
-"""Property tests on tiny inputs: the dataset layer, the leakage audit, pi similarity, and the learner."""
+"""Property tests on tiny inputs: the dataset layer, the leakage audit, pi bases and similarity, and the learner."""
 
 import tempfile
 from dataclasses import replace
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from pibrake import gbt  # noqa: E402
 from pibrake.dataset import (  # noqa: E402
@@ -21,6 +21,12 @@ from pibrake.dataset import (  # noqa: E402
     save_csv,
     split,
     surrogate_grid,
+)
+from pibrake.dimensions import (  # noqa: E402
+    DimensionVector,
+    VariableDecl,
+    build_dimension_matrix,
+    repeated_vars_pi_basis,
 )
 from pibrake.experiments import audit_no_leakage  # noqa: E402
 from pibrake.features import make_pipeline  # noqa: E402
@@ -96,6 +102,39 @@ def test_audit_flags_exactly_the_leaked_vehicle(pair, source, seed, data):
     _, moved = split(grid(other, source, seed), 0.8, seed)
     moved_in = merge([trains["two"], moved.take(row, "moved")])
     assert audit_no_leakage({"m": moved_in}, {"one": tests["one"]}) == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(*[st.integers(-2, 2)] * 3), min_size=1, max_size=7),
+    st.permutations(range(7)),
+    st.one_of(st.none(), st.integers(0, 4)),
+)
+@example(dims=[(0, 0, 0), (0, 0, 0)], order=list(range(7)), size=None)
+def test_repeated_vars_basis_contract(dims, order, size):
+    # the oracle is numpy's rank of the integer dimension matrix; size None draws rank-many
+    variables = [VariableDecl(f"q{i}", DimensionVector(*d)) for i, d in enumerate(dims)]
+    names = [v.name for v in variables]
+    rank = int(np.linalg.matrix_rank(np.array(dims, dtype=float)))
+    repeated = [names[i] for i in order if i < len(names)][: rank if size is None else size]
+    matrix = build_dimension_matrix(variables)
+    if len(repeated) != rank:
+        message = f"has {len(repeated)} variables but the dimension matrix has rank {rank}"
+        with pytest.raises(ValueError, match=message):
+            repeated_vars_pi_basis(matrix, repeated)
+        return
+    rep_dims = np.array([dims[names.index(n)] for n in repeated], dtype=float).reshape(-1, 3)
+    if np.linalg.matrix_rank(rep_dims) < rank:
+        with pytest.raises(ValueError, match="dimensionally dependent"):
+            repeated_vars_pi_basis(matrix, repeated)
+        return
+    basis = repeated_vars_pi_basis(matrix, repeated)
+    carried = [n for n in names if n not in repeated]
+    assert len(basis.groups) == len(names) - rank == len(carried)
+    for group, own in zip(basis.groups, carried):
+        assert group.dimension().is_dimensionless
+        exponent = dict(zip(names, group.exponents))
+        assert [exponent[n] for n in carried] == [int(n == own) for n in carried]
 
 
 @FEW

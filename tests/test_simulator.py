@@ -201,6 +201,9 @@ def test_surrogate_rejects_bad_mu():
         simulate_dynamic_surrogate(SMALL, ManeuverInput(1.0, -1.0, 0.0, mu=None), 0)
     with pytest.raises(ValueError, match="mu"):
         simulate_dynamic_surrogate(SMALL, ManeuverInput(1.0, -1.0, 0.0, mu=2.0), 0)
+    for mu in (0.0, 2.0):
+        with pytest.raises(ValueError, match=r"mu in \(0, 1\.5\]"):
+            simulate_surrogate_batch(SMALL, *(np.array([v]) for v in (mu, 1.0, -1.0, 0.0, 9.81)), seed=0)
 
 
 def test_surrogate_batch_matches_scalar():
