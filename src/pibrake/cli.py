@@ -183,13 +183,17 @@ def cmd_pi(args) -> int:
     for v in variables:
         print(f"{v.name}: [{v.dimension}] ({v.role})")
 
-    repeated = args.repeated.split(",") if args.repeated else default_repeated
+    if args.repeated is not None:
+        # "" is the empty set, the repeated set of an all-dimensionless variable set
+        repeated = [r.strip() for r in args.repeated.split(",") if r.strip()]
+    else:
+        repeated = default_repeated
     if args.method == "nullspace" or repeated is None:
         basis = nullspace_pi_basis(matrix)
         print("method: nullspace")
     else:
-        basis = repeated_vars_pi_basis(matrix, [r.strip() for r in repeated])
-        print(f"method: repeated variables {{{', '.join(n for n in repeated)}}}")
+        basis = repeated_vars_pi_basis(matrix, repeated)
+        print(f"method: repeated variables {{{', '.join(repeated)}}}")
     n, p = len(variables), matrix.rank
     print(f"buckingham count: N - P = {n} - {p} = {n - p}")
     for i, g in enumerate(basis.groups, start=1):

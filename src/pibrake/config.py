@@ -77,7 +77,16 @@ def _axis_triplet(text: str) -> tuple[float, float, int]:
     vals = text.replace(",", " ").split()
     if len(vals) != 3:
         raise ValueError(f"grid axis needs 'start, stop, count', got {text!r}")
+    if not vals[2].isdigit() or int(vals[2]) < 1:
+        raise ValueError(f"grid axis count must be a whole number >= 1, got {vals[2]!r}")
     return (float(vals[0]), float(vals[1]), int(vals[2]))
+
+
+def _axis_values(text: str) -> tuple[float, ...]:
+    vals = _floats(text)
+    if not vals:
+        raise ValueError("grid axis needs at least one value")
+    return vals
 
 
 # [section] key -> (field, value parser): GbtConfig fields for [gbt],
@@ -166,15 +175,16 @@ def load_run_config(path: str | Path | None = None) -> RunConfig:
             raise ValueError(f"config {path}: [run] {key} = {value!r} is not one of {choices}")
     if parser.has_section("vehicles"):
         cfg.vehicles = parse_vehicles(dict(parser["vehicles"]))
-    if parser.has_section("grid.kinematic"):
-        for key, text in parser["grid.kinematic"].items():
-            cfg.kinematic_grid[key] = _axis_triplet(text)
-    if parser.has_section("grid.surrogate"):
-        for key, text in parser["grid.surrogate"].items():
-            if key in ("mu", "delta"):
-                cfg.surrogate_grid[key] = _floats(text)
-            else:
-                cfg.surrogate_grid[key] = _axis_triplet(text)
+    for source in SOURCES:
+        section = f"grid.{source}"
+        if parser.has_section(section):
+            for key, text in parser[section].items():
+                # the surrogate's mu and delta axes list their values
+                listed = source == "surrogate" and key in ("mu", "delta")
+                try:
+                    cfg.grid_for(source)[key] = (_axis_values if listed else _axis_triplet)(text)
+                except ValueError as e:
+                    raise ValueError(f"config {path}: [{section}] {key}: {e}") from None
     if parser.has_section("variables"):
         cfg.variables = variables_from_config(dict(parser["variables"]))
     return cfg

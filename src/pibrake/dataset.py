@@ -27,9 +27,10 @@ from .simulator import (
     FinalPose,
     ManeuverInput,
     VehicleSpec,
+    add_surrogate_noise,
     calibrate_step,
+    saturate_batch,
     simulate_kinematic_batch,
-    simulate_surrogate_batch,
 )
 
 SOURCES = ("kinematic", "surrogate")
@@ -140,6 +141,9 @@ class Dataset:
         if len(vehicle_index) and source not in SOURCES:
             raise ValueError(f"unknown source {source!r}")
         c = {name: np.asarray(columns[name], dtype=float) for name in ROW_COLUMNS}
+        for name in ROW_COLUMNS:
+            if c[name].shape != vehicle_index.shape:
+                raise ValueError(f"column {name!r} has shape {c[name].shape}, expected {vehicle_index.shape}")
         for name, ok, what in _ROW_CHECKS:
             bad = ~ok(c[name])
             if bad.any():
@@ -210,57 +214,113 @@ def _product(axes: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     return dict(zip(axes, (m.ravel() for m in np.meshgrid(*axes.values(), indexing="ij"))))
 
 
+def _grid_inputs(source: str, grid: dict | None) -> dict[str, np.ndarray]:
+    """The input columns of one vehicle's grid of the source (the same for every vehicle)."""
+    if source == "kinematic":
+        grid = grid or KINEMATIC_GRID
+        c = _product(
+            {
+                "v_i": np.linspace(*grid["v_i"]),
+                "a": -STANDARD_GRAVITY * np.linspace(*grid["a_g"]),
+                "delta": np.linspace(*grid["delta"]),
+            }
+        )
+        c["mu"] = np.full(len(c["v_i"]), math.nan)
+    elif source == "surrogate":
+        grid = grid or SURROGATE_GRID
+        c = _product(
+            {
+                "mu": np.array(grid["mu"]),
+                "v_i": np.linspace(*grid["v_i"]),
+                "a": -STANDARD_GRAVITY * np.linspace(*grid["a_g"]),
+                "delta": np.array(grid["delta"]),
+            }
+        )
+    else:
+        raise ValueError(f"unknown source {source!r}")
+    c["g"] = np.full(len(c["v_i"]), STANDARD_GRAVITY)
+    return c
+
+
+Poses = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _simulate_grids(
+    source: str, vehicles: Sequence[VehicleSpec], steps: Sequence[float], seed: int, c: dict[str, np.ndarray]
+) -> list[Poses]:
+    """Final poses (X, Y, theta) of each vehicle's grid ``c``, vehicle ``k`` at ``steps[k]``.
+
+    The vehicles sharing a step run as one lockstep RK4 batch with a
+    wheelbase per row; a row's pose does not depend on its batch.  The
+    surrogate saturates each vehicle's inputs first and adds its noise last.
+    """
+    n = len(c["v_i"])
+    if source == "surrogate":
+        inputs = [saturate_batch(v, c["mu"], c["v_i"], c["a"], c["delta"], c["g"]) for v in vehicles]
+    else:
+        inputs = [(c["a"], c["delta"])] * len(vehicles)
+    poses: dict[int, Poses] = {}
+    for step in dict.fromkeys(steps):
+        group = [k for k, s in enumerate(steps) if s == step]
+        X, Y, TH = simulate_kinematic_batch(
+            np.repeat([vehicles[k].wheelbase_l for k in group], n),
+            np.tile(c["v_i"], len(group)),
+            np.concatenate([inputs[k][0] for k in group]),
+            np.concatenate([inputs[k][1] for k in group]),
+            step,
+        )
+        for j, k in enumerate(group):
+            rows = slice(j * n, (j + 1) * n)
+            poses[k] = (X[rows], Y[rows], TH[rows])
+    if source == "surrogate":
+        for k, v in enumerate(vehicles):
+            add_surrogate_noise(v.name, seed, *poses[k])
+    return [poses[k] for k in range(len(vehicles))]
+
+
 def kinematic_grid(
-    vehicle: VehicleSpec, step: float | None = None, grid: dict | None = None
+    vehicle: VehicleSpec, step: float | None = None, grid: dict | None = None, *, poses: Poses | None = None
 ) -> Dataset:
     """Simulate the full 5500-point braking grid for one vehicle.
 
     Axis order (outer to inner): v_i, deceleration level, steering angle.
     The RK4 step is calibrated against the analytic oracle unless given.
+    ``poses`` are the grid's final poses when a batch over several vehicles
+    (:func:`generate`) has simulated them already.
     """
     if step is None:
         step = calibrate_step(vehicle)
-    grid = grid or KINEMATIC_GRID
-    c = _product(
-        {
-            "v_i": np.linspace(*grid["v_i"]),
-            "a": -STANDARD_GRAVITY * np.linspace(*grid["a_g"]),
-            "delta": np.linspace(*grid["delta"]),
-        }
-    )
-    n = len(c["v_i"])
-    c["mu"], c["g"] = np.full(n, math.nan), np.full(n, STANDARD_GRAVITY)
-    c["X"], c["Y"], c["theta"] = simulate_kinematic_batch(
-        vehicle.wheelbase_l, c["v_i"], c["a"], c["delta"], step
-    )
+    c = _grid_inputs("kinematic", grid)
+    if poses is None:
+        (poses,) = _simulate_grids("kinematic", [vehicle], [step], 0, c)
+    c["X"], c["Y"], c["theta"] = poses
     provenance = f"kinematic grid, vehicle={vehicle.name}, step={step}"
-    return Dataset.from_columns((vehicle,), np.zeros(n, dtype=np.intp), c, "kinematic", provenance)
+    index = np.zeros(len(c["v_i"]), dtype=np.intp)
+    return Dataset.from_columns((vehicle,), index, c, "kinematic", provenance)
 
 
 def surrogate_grid(
-    vehicle: VehicleSpec, seed: int, step: float = DEFAULT_STEP, grid: dict | None = None
+    vehicle: VehicleSpec,
+    seed: int,
+    step: float = DEFAULT_STEP,
+    grid: dict | None = None,
+    *,
+    poses: Poses | None = None,
 ) -> Dataset:
     """Simulate the 540-point friction-limited grid for one vehicle.
 
     Axis order (outer to inner): mu, v_i, deceleration level, steering angle.
-    Deceleration levels are stored as negative (braking) values.
+    Deceleration levels are stored as negative (braking) values.  ``poses``
+    are the grid's final noisy poses when :func:`generate` has simulated
+    them already.
     """
-    grid = grid or SURROGATE_GRID
-    c = _product(
-        {
-            "mu": np.array(grid["mu"]),
-            "v_i": np.linspace(*grid["v_i"]),
-            "a": -STANDARD_GRAVITY * np.linspace(*grid["a_g"]),
-            "delta": np.array(grid["delta"]),
-        }
-    )
-    n = len(c["v_i"])
-    c["g"] = np.full(n, STANDARD_GRAVITY)
-    c["X"], c["Y"], c["theta"] = simulate_surrogate_batch(
-        vehicle, c["mu"], c["v_i"], c["a"], c["delta"], c["g"], seed, step=step
-    )
+    c = _grid_inputs("surrogate", grid)
+    if poses is None:
+        (poses,) = _simulate_grids("surrogate", [vehicle], [step], seed, c)
+    c["X"], c["Y"], c["theta"] = poses
     provenance = f"surrogate grid, vehicle={vehicle.name}, seed={seed}"
-    return Dataset.from_columns((vehicle,), np.zeros(n, dtype=np.intp), c, "surrogate", provenance)
+    index = np.zeros(len(c["v_i"]), dtype=np.intp)
+    return Dataset.from_columns((vehicle,), index, c, "surrogate", provenance)
 
 
 def split(d: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -336,9 +396,17 @@ def load_csv(path: str | Path) -> Dataset:
 def generate(
     vehicles: Iterable[VehicleSpec], source: str, seed: int = 0, grid: dict | None = None
 ) -> dict[str, Dataset]:
-    """Build the per-vehicle grid datasets for one source kind."""
+    """Build the per-vehicle grid datasets for one source kind.
+
+    All vehicles are simulated together: one lockstep RK4 pass per distinct
+    step (each vehicle's calibrated step for the kinematic grid,
+    ``DEFAULT_STEP`` for the surrogate).
+    """
+    vehicles = list(vehicles)
+    c = _grid_inputs(source, grid)
     if source == "kinematic":
-        return {v.name: kinematic_grid(v, grid=grid) for v in vehicles}
-    if source == "surrogate":
-        return {v.name: surrogate_grid(v, seed, grid=grid) for v in vehicles}
-    raise ValueError(f"unknown source {source!r}")
+        steps = [calibrate_step(v) for v in vehicles]
+        poses = _simulate_grids(source, vehicles, steps, seed, c)
+        return {v.name: kinematic_grid(v, s, grid, poses=p) for v, s, p in zip(vehicles, steps, poses)}
+    poses = _simulate_grids(source, vehicles, [DEFAULT_STEP] * len(vehicles), seed, c)
+    return {v.name: surrogate_grid(v, seed, grid=grid, poses=p) for v, p in zip(vehicles, poses)}

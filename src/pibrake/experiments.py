@@ -219,7 +219,8 @@ def learning_curve(
 
     The 80/20 split is fixed by ``seed``; each (fraction, repeat) draws its
     own seeded subset of the training split.  At fraction 1.0 every repeat
-    uses the whole training split, matching the matrix run's self cell.
+    uses the whole training split, matching the matrix run's self cell, so
+    one fit serves them all.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -234,6 +235,9 @@ def learning_curve(
     for fi, frac in enumerate(fractions):
         maes = np.zeros((repeats, 3))
         for rep in range(repeats):
+            if frac >= 1.0 and rep:
+                maes[rep] = maes[0]  # the learner is deterministic: same split, same model
+                continue
             if frac >= 1.0:
                 sub = train
             else:

@@ -154,67 +154,117 @@ def analytic_arc_oracle(vehicle: VehicleSpec, m: ManeuverInput) -> FinalPose:
     return FinalPose(r * math.sin(theta_f), r * (1.0 - math.cos(theta_f)), theta_f)
 
 
+def _add_k(sx: np.ndarray, sy: np.ndarray, v: np.ndarray, th: np.ndarray, weight: float) -> None:
+    """Add weight * (v cos(th), v sin(th)) to (sx, sy) in place."""
+    for acc, k in ((sx, np.cos(th)), (sy, np.sin(th))):
+        np.multiply(v, k, out=k)
+        if weight != 1.0:
+            np.multiply(weight, k, out=k)
+        np.add(acc, k, out=acc)
+
+
 def simulate_kinematic_batch(
-    wheelbase_l: float,
+    wheelbase_l: float | np.ndarray,
     v_i: np.ndarray,
     a: np.ndarray,
     delta: np.ndarray,
     step: float = DEFAULT_STEP,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized RK4 over many maneuvers of one vehicle, in lockstep.
+    """Vectorized RK4 over many maneuvers in lockstep.
 
-    Rows are sorted by stopping time internally so the active set shrinks to
-    a slice; each row takes full steps of ``step`` and one final partial
-    step solving v = 0.  Results match :func:`simulate_kinematic` row by row.
+    ``wheelbase_l`` is one value for every row or one per row, so the grids
+    of several vehicles sharing a step run as one batch.  Rows are sorted by
+    stopping time internally so the active set shrinks to a slice; each row
+    takes full steps of ``step`` and one final partial step solving v = 0.
+    Every row's arithmetic is that of :func:`simulate_kinematic` and does not
+    depend on the other rows, so a row's pose is the same in any batch.
     """
     v_i = np.asarray(v_i, dtype=float)
     a = np.asarray(a, dtype=float)
     delta = np.asarray(delta, dtype=float)
+    wheelbase_l = np.broadcast_to(np.asarray(wheelbase_l, dtype=float), v_i.shape)
     if np.any(a >= 0):
         raise ValueError("all maneuvers must brake (a < 0)")
     if np.any(v_i <= 0):
         raise ValueError("all initial speeds must be positive")
+    if np.any(wheelbase_l <= 0):
+        raise ValueError("all wheelbases must be positive")
     _require_step_budget(v_i, a, step)
     n = len(v_i)
     order = np.argsort(-(v_i / -a), kind="stable")
     V = v_i[order].copy()
     A = a[order].copy()
-    TL = np.tan(delta[order]) / wheelbase_l
+    TL = np.tan(delta[order]) / wheelbase_l[order]
     X = np.zeros(n)
     Y = np.zeros(n)
     TH = np.zeros(n)
     pos = order.copy()
-    out = np.zeros((3, n))
+    X_out, Y_out, TH_out = np.zeros(n), np.zeros(n), np.zeros(n)
+    # work arrays, sliced to the active rows each iteration; one block per
+    # column, since a single (9, n) block left the peak RSS of a kinematic
+    # matrix run 3 MB higher in 3 of 12 runs
+    full_buf = np.empty(n, dtype=bool)
+    h_buf, half_buf, v2_buf, v4_buf, th_buf, kt_buf, sx_buf, sy_buf, st_buf = (np.empty(n) for _ in range(9))
 
     end = n
     while end > 0:
-        full = V[:end] + A[:end] * step > 0.0
-        h = np.where(full, step, -V[:end] / A[:end])
         v, th, tl, aa = V[:end], TH[:end], TL[:end], A[:end]
-        k1x, k1y, k1t = v * np.cos(th), v * np.sin(th), v * tl
-        v2 = v + 0.5 * h * aa
-        th2 = th + 0.5 * h * k1t
-        k2x, k2y, k2t = v2 * np.cos(th2), v2 * np.sin(th2), v2 * tl
-        th3 = th + 0.5 * h * k2t
-        k3x, k3y, k3t = v2 * np.cos(th3), v2 * np.sin(th3), v2 * tl
-        v4 = v + h * aa
-        th4 = th + h * k3t
-        k4x, k4y, k4t = v4 * np.cos(th4), v4 * np.sin(th4), v4 * tl
-        X[:end] += h / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        Y[:end] += h / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        TH[:end] += h / 6.0 * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
-        V[:end] += h * aa
+        full, h, half = full_buf[:end], h_buf[:end], half_buf[:end]
+        v2, v4, thk, kt = v2_buf[:end], v4_buf[:end], th_buf[:end], kt_buf[:end]
+        sx, sy, st = sx_buf[:end], sy_buf[:end], st_buf[:end]
+        # full = v + a*step > 0; h = step, or -v/a on a row's last step
+        np.multiply(aa, step, out=h)
+        np.add(v, h, out=h)
+        np.greater(h, 0.0, out=full)
+        np.negative(v, out=h)
+        np.divide(h, aa, out=h)
+        np.copyto(h, step, where=full)
+        np.multiply(0.5, h, out=half)
+        # k1 starts the running sums ((k1 + 2 k2) + 2 k3) + k4
+        c = np.cos(th)
+        np.multiply(v, c, out=sx)
+        np.sin(th, out=c)
+        np.multiply(v, c, out=sy)
+        np.multiply(v, tl, out=st)
+        # v2 = v + 0.5*h*a, th2 = th + 0.5*h*k1t
+        np.multiply(half, aa, out=v2)
+        np.add(v, v2, out=v2)
+        np.multiply(half, st, out=thk)
+        np.add(th, thk, out=thk)
+        _add_k(sx, sy, v2, thk, 2.0)
+        np.multiply(v2, tl, out=kt)  # k2t
+        np.multiply(half, kt, out=thk)  # th3 = th + 0.5*h*k2t
+        np.add(th, thk, out=thk)
+        np.multiply(2.0, kt, out=kt)
+        np.add(st, kt, out=st)
+        _add_k(sx, sy, v2, thk, 2.0)
+        np.multiply(v2, tl, out=kt)  # k3t
+        np.multiply(h, kt, out=thk)  # th4 = th + h*k3t
+        np.add(th, thk, out=thk)
+        np.multiply(2.0, kt, out=kt)
+        np.add(st, kt, out=st)
+        np.multiply(h, aa, out=v4)  # v4 = v + h*a
+        np.add(v, v4, out=v4)
+        _add_k(sx, sy, v4, thk, 1.0)
+        np.multiply(v4, tl, out=kt)  # k4t
+        np.add(st, kt, out=st)
+        # X += h/6 * sum, likewise Y and theta; v += h*a is v4
+        np.divide(h, 6.0, out=half)
+        for acc, s in ((X[:end], sx), (Y[:end], sy), (th, st)):
+            np.multiply(half, s, out=s)
+            np.add(acc, s, out=acc)
+        np.copyto(v, v4)
         if not full.all():
             done = np.nonzero(~full)[0]
-            out[0, pos[done]] = X[done]
-            out[1, pos[done]] = Y[done]
-            out[2, pos[done]] = TH[done]
+            X_out[pos[done]] = X[done]
+            Y_out[pos[done]] = Y[done]
+            TH_out[pos[done]] = TH[done]
             keep = np.nonzero(full)[0]
             m = len(keep)
             for arr in (X, Y, TH, V, A, TL, pos):
                 arr[:m] = arr[keep]
             end = m
-    return out[0], out[1], out[2]
+    return X_out, Y_out, TH_out
 
 
 def calibrate_step(
@@ -289,6 +339,33 @@ def simulate_dynamic_surrogate(
     return FinalPose(x + dx, y + dy, th + dth)
 
 
+def saturate_batch(
+    vehicle: VehicleSpec, mu: np.ndarray, v_i: np.ndarray, a: np.ndarray, delta: np.ndarray, g: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Effective (a, delta) of every row under the adherence limits, row by row as the scalar surrogate."""
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in (mu, v_i, a, delta, g)))
+    pairs = np.array([_saturated_inputs(vehicle, *row) for row in rows], dtype=float).reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1]
+
+
+def add_surrogate_noise(
+    vehicle_name: str,
+    seed: int,
+    X: np.ndarray,
+    Y: np.ndarray,
+    TH: np.ndarray,
+    sigma_xy: float = SURROGATE_SIGMA_XY,
+    sigma_theta: float = SURROGATE_SIGMA_THETA,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Add the measurement noise in place; row i draws from ``record_noise_seed(seed, vehicle_name, i)``."""
+    for i in range(len(X)):
+        rng = np.random.default_rng(record_noise_seed(seed, vehicle_name, i))
+        X[i] += rng.normal(0.0, sigma_xy)
+        Y[i] += rng.normal(0.0, sigma_xy)
+        TH[i] += rng.normal(0.0, sigma_theta)
+    return X, Y, TH
+
+
 def simulate_surrogate_batch(
     vehicle: VehicleSpec,
     mu: np.ndarray,
@@ -301,18 +378,7 @@ def simulate_surrogate_batch(
     sigma_theta: float = SURROGATE_SIGMA_THETA,
     step: float = DEFAULT_STEP,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized surrogate over a grid; row i uses ``record_noise_seed(seed, name, i)``."""
-    n = len(v_i)
-    a_eff = np.empty(n)
-    delta_eff = np.empty(n)
-    for i in range(n):
-        a_eff[i], delta_eff[i] = _saturated_inputs(
-            vehicle, float(mu[i]), float(v_i[i]), float(a[i]), float(delta[i]), float(g[i])
-        )
+    """Vectorized surrogate over a grid: saturation, the lockstep kernel, then the noise."""
+    a_eff, delta_eff = saturate_batch(vehicle, mu, v_i, a, delta, g)
     X, Y, TH = simulate_kinematic_batch(vehicle.wheelbase_l, v_i, a_eff, delta_eff, step)
-    for i in range(n):
-        rng = np.random.default_rng(record_noise_seed(seed, vehicle.name, i))
-        X[i] += rng.normal(0.0, sigma_xy)
-        Y[i] += rng.normal(0.0, sigma_xy)
-        TH[i] += rng.normal(0.0, sigma_theta)
-    return X, Y, TH
+    return add_surrogate_noise(vehicle.name, seed, X, Y, TH, sigma_xy, sigma_theta)

@@ -68,6 +68,24 @@ def test_gen_writes_datasets(conf, tmp_path, capsys):
     assert small.read_bytes() == first
 
 
+@pytest.mark.parametrize(
+    "source, section, line",
+    [
+        ("kinematic", "grid.kinematic", "v_i = 0.1, 5.0, 0"),
+        ("surrogate", "grid.surrogate", "mu ="),
+        ("kinematic", "grid.kinematic", "v_i = 0.1, 5.0, 2.5"),
+    ],
+)
+def test_gen_with_a_bad_grid_axis_fails_and_writes_nothing(tmp_path, capsys, source, section, line):
+    conf = tmp_path / "grid.conf"
+    conf.write_text(f"[{section}]\n{line}\n")
+    out = tmp_path / "reports"
+    assert run("gen", "--config", conf, "--source", source, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert str(conf) in err and f"[{section}] {line.split()[0]}" in err
+    assert not out.exists()
+
+
 def test_gen_surrogate_counts(conf, tmp_path, capsys):
     out = tmp_path / "reports"
     assert run("gen", "--config", conf, "--out", out, "--source", "surrogate", "--seed", 7) == 0
@@ -102,6 +120,21 @@ def test_pi_custom_variables(tmp_path, capsys):
     assert run("pi", "--set", "custom", "--config", conf) == 0
     text = capsys.readouterr().out
     assert "N - P = 3 - 2 = 1" in text
+
+
+def test_pi_repeated_names_are_stripped(capsys):
+    assert run("pi", "--set", "kinematic", "--repeated", "l, v_i") == 0
+    assert "method: repeated variables {l, v_i}" in capsys.readouterr().out
+
+
+def test_pi_empty_repeated_is_the_empty_set(tmp_path, capsys):
+    assert run("pi", "--set", "kinematic", "--repeated", "") == 2
+    assert "repeated set has 0 variables but the dimension matrix has rank 2" in capsys.readouterr().err
+    conf = tmp_path / "ratios.conf"
+    conf.write_text("[variables]\nr = 1\nq = 1\n")
+    assert run("pi", "--set", "custom", "--config", conf, "--repeated", "") == 0
+    text = capsys.readouterr().out
+    assert "method: repeated variables {}" in text and "N - P = 2 - 0 = 2" in text
 
 
 def test_pi_dependent_repeated_fails(capsys):

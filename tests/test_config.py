@@ -97,6 +97,9 @@ def test_bad_vehicle_line(tmp_path):
         ("[run]\nsource = lidar\n", ["source", "'lidar'"]),
         ("[gbt]\nsubsample = 0.9\n", ["'subsample'", "[gbt]"]),
         ("[gbt]\nseed = 1\n", ["'seed'", "[gbt]"]),
+        ("[grid.kinematic]\nv_i = 0.1, 5.0, 0\n", ["[grid.kinematic] v_i", ">= 1", "'0'"]),
+        ("[grid.surrogate]\nmu =\n", ["[grid.surrogate] mu", "at least one value"]),
+        ("[grid.kinematic]\nv_i = 0.1, 5.0, 2.5\n", ["[grid.kinematic] v_i", "whole number", "'2.5'"]),
     ],
 )
 def test_unknown_or_invalid_entries_rejected(tmp_path, text, names):

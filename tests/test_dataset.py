@@ -5,6 +5,7 @@ from pibrake.dataset import (
     CSV_HEADER,
     DEFAULT_VEHICLES,
     Dataset,
+    generate,
     kinematic_grid,
     load_csv,
     merge,
@@ -12,6 +13,7 @@ from pibrake.dataset import (
     split,
     surrogate_grid,
 )
+from pibrake.simulator import VehicleSpec, calibrate_step
 
 
 SMALL = DEFAULT_VEHICLES["small"]
@@ -188,3 +190,27 @@ def test_load_rejects_invalid_rows(tmp_path, field, value, message):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match=message):
         load_csv(path)
+
+
+def test_generate_batches_vehicles_by_step_without_changing_bytes(tmp_path):
+    # a 5 mm wheelbase calibrates to a shorter RK4 step than the other two
+    tiny = VehicleSpec("tiny", 0.005, 10.0, 10.0)
+    registry = [SMALL, tiny, LARGE]
+    assert calibrate_step(tiny) < calibrate_step(SMALL) == calibrate_step(LARGE)
+    for source, grid in (("kinematic", TINY_KIN_GRID), ("surrogate", TINY_SUR_GRID)):
+        together = generate(registry, source, seed=3, grid=grid)
+        for v in registry:
+            alone = generate([v], source, seed=3, grid=grid)[v.name]
+            assert together[v.name].provenance == alone.provenance
+            a = save_csv(together[v.name], tmp_path / "together.csv").read_bytes()
+            b = save_csv(alone, tmp_path / "alone.csv").read_bytes()
+            assert a == b, (source, v.name)
+
+
+def test_columns_must_match_the_rows():
+    c = kinematic_grid(SMALL, grid=TINY_KIN_GRID).columns()
+    short = {name: c[name][:-1] if name == "theta" else c[name] for name in c}
+    with pytest.raises(ValueError, match=r"column 'theta' has shape \(35,\), expected \(36,\)"):
+        Dataset.from_columns([SMALL], np.zeros(36, dtype=np.intp), short, "kinematic")
+    with pytest.raises(ValueError, match="column 'X'"):
+        kinematic_grid(SMALL, step=1e-3, grid=TINY_KIN_GRID, poses=(c["X"][:5], c["Y"], c["theta"]))

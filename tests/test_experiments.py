@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pibrake import gbt
 from pibrake.dataset import DEFAULT_VEHICLES, Dataset, kinematic_grid, split, surrogate_grid
 from pibrake.experiments import (
     MERGED,
@@ -110,6 +111,22 @@ def test_learning_curve_fraction_one_matches_matrix(tiny_datasets, tiny_report):
     assert points[0].mae_x == pytest.approx(cell.mae_x, rel=1e-12)
     assert points[0].mae_y == pytest.approx(cell.mae_y, rel=1e-12)
     assert points[0].mae_theta == pytest.approx(cell.mae_theta, rel=1e-12)
+
+
+def test_learning_curve_fits_the_whole_split_once(tiny_datasets, monkeypatch):
+    kw = dict(fractions=[0.5, 1.0], repeats=3, cfg=FAST_CFG, seed=0)
+    before = learning_curve(tiny_datasets, "pi", "small", **kw)
+    calls = []
+    original = gbt.fit
+
+    def counting_fit(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gbt, "fit", counting_fit)
+    assert learning_curve(tiny_datasets, "pi", "small", **kw) == before
+    # 3 subsets at 0.5 plus one model of the whole split, 3 outputs each
+    assert len(calls) == (3 + 1) * 3
 
 
 def test_learning_curve_validation(tiny_datasets):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from pibrake import gbt
 from pibrake.gbt import Ensemble, GbtConfig, fit, load_ensembles, save_ensembles
 
 
@@ -106,7 +107,7 @@ def test_tree_predictions_piecewise_constant():
     e = fit(x, y, GbtConfig(n_rounds=10))
     probe = rng.normal(size=(500, 2))
     for tree in e.trees:
-        distinct = np.unique(tree.predict(probe))
+        distinct = np.unique(Ensemble(0.0, [tree], e.config, e.n_features).predict(probe))
         assert len(distinct) <= tree.n_leaves
 
 
@@ -186,3 +187,40 @@ def test_internal_nodes_have_nonempty_children():
     for tree in e.trees:
         internal = tree.feature >= 0
         assert (tree.left[internal] >= 0).all() and (tree.right[internal] >= 0).all()
+
+
+def _walk(tree, row):
+    nid = 0
+    while tree.feature[nid] >= 0:
+        nid = tree.left[nid] if row[tree.feature[nid]] < tree.threshold[nid] else tree.right[nid]
+    return tree.value[nid]
+
+
+def _reference_predict(e, x):
+    """Node-by-node traversal of every tree, summed in tree order."""
+    out = np.full(len(x), e.base_score)
+    for tree in e.trees:
+        out += e.config.learning_rate * np.array([_walk(tree, row) for row in x])
+    return out
+
+
+@pytest.mark.parametrize(
+    "depth, rounds, constant", [(1, 6, False), (4, 20, False), (6, 12, False), (3, 4, True)]
+)
+def test_heap_predictor_matches_a_reference_walk(monkeypatch, depth, rounds, constant):
+    rng = np.random.default_rng(depth)
+    x = np.column_stack([rng.choice(np.linspace(0, 1, 9), 150), rng.normal(size=150), rng.uniform(size=150)])
+    y = np.full(150, 1.5) if constant else np.where(x[:, 0] > 0.5, 2.0, 0.0) + 0.3 * x[:, 1] ** 2
+    e = fit(x, y, GbtConfig(n_rounds=rounds, max_depth=depth, min_samples_leaf=8))
+    if constant:
+        assert all(t.n_splits == 0 for t in e.trees)  # every tree is a lone root leaf
+    elif depth > 1:
+        assert any(0 < t.n_splits and t.n_leaves < 2**depth for t in e.trees)  # leaves above the bottom
+    probe = np.vstack([x[:40], rng.normal(size=(25, 3))])
+    want = _reference_predict(e, probe)
+    np.testing.assert_array_equal(e.predict(probe), want)
+    # chunks of 3 trees walk the same slots and add the same values in the same order
+    monkeypatch.setattr(gbt, "PREDICT_CELLS", 3 * len(probe))
+    np.testing.assert_array_equal(e.predict(probe), want)
+    empty = Ensemble(e.base_score, [], e.config, e.n_features)
+    np.testing.assert_array_equal(empty.predict(probe), _reference_predict(empty, probe))

@@ -132,6 +132,22 @@ def test_batch_matches_scalar():
         assert abs(p.theta - TH[i]) <= 1e-12
 
 
+def test_batch_with_a_wheelbase_per_row_matches_one_vehicle_batches():
+    rng = np.random.default_rng(9)
+    n = 30
+    vehicles = (SMALL, LONG, LARGE)
+    v = rng.uniform(0.1, 5.0, 3 * n)
+    a = -rng.uniform(0.981, 9.81, 3 * n)
+    d = rng.uniform(-0.7854, 0.7854, 3 * n)
+    l = np.repeat([veh.wheelbase_l for veh in vehicles], n)
+    together = simulate_kinematic_batch(l, v, a, d)
+    for k, vehicle in enumerate(vehicles):
+        rows = slice(k * n, (k + 1) * n)
+        alone = simulate_kinematic_batch(vehicle.wheelbase_l, v[rows], a[rows], d[rows])
+        for got, want in zip(together, alone):
+            np.testing.assert_array_equal(got[rows], want)
+
+
 def test_pi_similarity_across_vehicles():
     # equal (a l / v_i^2, delta) must give equal (X/l, Y/l, theta)
     cases = [(2.0, -3.0, 0.3), (1.5, -1.2, 0.0), (4.0, -6.0, 0.7), (0.8, -0.981, 0.15)]
