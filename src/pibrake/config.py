@@ -40,7 +40,7 @@ from .dataset import DEFAULT_VEHICLES, KINEMATIC_GRID, SOURCES, SURROGATE_GRID
 from .dimensions import VariableDecl, variables_from_config
 from .features import SCHEME_NAMES
 from .gbt import GbtConfig
-from .simulator import VehicleSpec
+from .simulator import DELTA_LIMIT, MU_MAX, VehicleSpec
 
 DEFAULT_FRACTIONS = (0.05, 0.1, 0.2, 0.4, 0.8, 1.0)
 
@@ -89,6 +89,29 @@ def _axis_values(text: str) -> tuple[float, ...]:
     return vals
 
 
+# grid axis -> (test, rule) of the bound the simulator enforces on its values
+_AXIS_RANGES = {
+    "v_i": (lambda v: v > 0, "initial speeds must be > 0"),
+    "a_g": (lambda a: a > 0, "braking decelerations must be > 0"),
+    "delta": (lambda d: abs(d) < DELTA_LIMIT, "steering angles must satisfy |delta| < pi/2"),
+    "mu": (lambda mu: 0 < mu <= MU_MAX, f"friction coefficients must be in (0, {MU_MAX}]"),
+}
+
+
+def _grid_axis(source: str, key: str, text: str) -> tuple:
+    """One grid axis, range-checked: listed values for the surrogate's mu and
+    delta, a 'start, stop, count' linspace triplet otherwise."""
+    listed = source == "surrogate" and key in ("mu", "delta")
+    axis = (_axis_values if listed else _axis_triplet)(text)
+    # a linspace lies between its endpoints, and a count of 1 gives only the start
+    values = axis if listed else axis[: min(axis[2], 2)]
+    in_range, rule = _AXIS_RANGES[key]
+    for v in values:
+        if not in_range(v):
+            raise ValueError(f"{v} is out of range: {rule}")
+    return axis
+
+
 # [section] key -> (field, value parser): GbtConfig fields for [gbt],
 # RunConfig fields for the other sections
 _FIELDS = {
@@ -110,13 +133,19 @@ SECTION_KEYS = {
 }
 
 
-def parse_vehicles(section: dict[str, str]) -> dict[str, VehicleSpec]:
+def parse_vehicles(section: dict[str, str], where: str) -> dict[str, VehicleSpec]:
+    """The registry of a ``[vehicles]`` section; ``where`` names its file in errors."""
+    if not section:
+        raise ValueError(f"{where}: [vehicles] lists no vehicle")
     out = {}
     for name, text in section.items():
-        vals = _floats(text)
-        if len(vals) != 3:
-            raise ValueError(f"vehicle {name!r} needs 'l, Nf, Nr', got {text!r}")
-        out[name] = VehicleSpec(name, *vals)
+        try:
+            vals = _floats(text)
+            if len(vals) != 3:
+                raise ValueError(f"needs 'l, Nf, Nr', got {text!r}")
+            out[name] = VehicleSpec(name, *vals)
+        except ValueError as e:
+            raise ValueError(f"{where}: [vehicles] {name}: {e}") from None
     return out
 
 
@@ -139,14 +168,29 @@ def load_vehicles(path: str | Path) -> dict[str, VehicleSpec]:
         raise ValueError(
             f"vehicles file {path}: needs exactly one [vehicles] section, got {parser.sections()}"
         )
-    return parse_vehicles(dict(parser["vehicles"]))
+    return parse_vehicles(dict(parser["vehicles"]), f"vehicles file {path}")
+
+
+def _set(cfg: RunConfig, section: str, key: str, text: str) -> None:
+    """Parse one value of a fixed-key section into ``cfg``; a bad value raises ``ValueError``."""
+    if section.startswith("grid."):
+        source = section.removeprefix("grid.")
+        cfg.grid_for(source)[key] = _grid_axis(source, key, text)
+        return
+    name, parse = _FIELDS[section][key]
+    if section == "gbt":
+        cfg.gbt = replace(cfg.gbt, **{name: parse(text)})  # GbtConfig checks the value
+    else:
+        setattr(cfg, name, parse(text))
 
 
 def load_run_config(path: str | Path | None = None) -> RunConfig:
     """Read a config file into a RunConfig; missing keys keep their defaults.
 
-    Unknown sections or keys, and a ``source`` or ``scheme`` the package
-    does not implement, raise ``ValueError`` naming the file and the key.
+    Unknown sections or keys, values that do not parse or lie outside the
+    range the simulator or ``GbtConfig`` accepts, an empty ``[vehicles]``
+    section, and a ``source`` or ``scheme`` the package does not implement
+    raise ``ValueError`` naming the file and the key.
     """
     cfg = RunConfig()
     if path is None:
@@ -156,35 +200,23 @@ def load_run_config(path: str | Path | None = None) -> RunConfig:
         if section not in SECTION_KEYS:
             raise ValueError(f"config {path}: unknown section [{section}]")
         allowed = SECTION_KEYS[section]
-        for key in parser[section]:
-            if allowed is not None and key not in allowed:
+        if allowed is None:
+            continue
+        for key, text in parser[section].items():
+            if key not in allowed:
                 raise ValueError(
                     f"config {path}: unknown key {key!r} in [{section}]; expected one of {tuple(allowed)}"
                 )
-
-    for section, fields in _FIELDS.items():
-        if parser.has_section(section):
-            values = {fields[key][0]: fields[key][1](text) for key, text in parser[section].items()}
-            if section == "gbt":
-                cfg.gbt = replace(cfg.gbt, **values)
-            else:
-                for name, value in values.items():
-                    setattr(cfg, name, value)
+            try:
+                _set(cfg, section, key, text)
+            except ValueError as e:
+                raise ValueError(f"config {path}: [{section}] {key}: {e}") from None
     for key, value, choices in (("source", cfg.source, SOURCES), ("scheme", cfg.scheme, SCHEME_NAMES)):
         if value not in choices:
             raise ValueError(f"config {path}: [run] {key} = {value!r} is not one of {choices}")
     if parser.has_section("vehicles"):
-        cfg.vehicles = parse_vehicles(dict(parser["vehicles"]))
-    for source in SOURCES:
-        section = f"grid.{source}"
-        if parser.has_section(section):
-            for key, text in parser[section].items():
-                # the surrogate's mu and delta axes list their values
-                listed = source == "surrogate" and key in ("mu", "delta")
-                try:
-                    cfg.grid_for(source)[key] = (_axis_values if listed else _axis_triplet)(text)
-                except ValueError as e:
-                    raise ValueError(f"config {path}: [{section}] {key}: {e}") from None
+        cfg.vehicles = parse_vehicles(dict(parser["vehicles"]), f"config {path}")
     if parser.has_section("variables"):
         cfg.variables = variables_from_config(dict(parser["variables"]))
     return cfg
+

@@ -23,6 +23,7 @@ import numpy as np
 
 from .simulator import (
     DEFAULT_STEP,
+    DELTA_LIMIT,
     STANDARD_GRAVITY,
     FinalPose,
     ManeuverInput,
@@ -70,7 +71,7 @@ ROW_COLUMNS = tuple(c for c in FLOAT_COLUMNS if c not in VEHICLE_COLUMNS)
 _ROW_CHECKS = (
     ("v_i", lambda v: v > 0, "initial speed must be positive"),
     ("a", lambda a: a < 0, "deceleration must be negative"),
-    ("delta", lambda d: np.abs(d) < math.pi / 2, "steering angle must satisfy |delta| < pi/2"),
+    ("delta", lambda d: np.abs(d) < DELTA_LIMIT, "steering angle must satisfy |delta| < pi/2"),
     ("g", lambda g: g > 0, "gravity must be positive"),
     *((name, np.isfinite, f"non-finite final pose {name}") for name in ("X", "Y", "theta")),
 )

@@ -161,45 +161,6 @@ def _build_tree(
 PREDICT_CELLS = 8192
 
 
-def _heap_arrays(trees: list[RegressionTree]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The trees padded to complete binary heaps of their largest depth d.
-
-    Returns feature and threshold, (trees, 2^d - 1), for the split slots and
-    the leaf values, (trees, 2^d), for the bottom slots; slot i has children
-    2i+1 and 2i+2.  A leaf above the bottom becomes a pass-through whose
-    +inf threshold sends every row left, and its value fills its left-most
-    bottom slot, so every row reaches its leaf in exactly d steps.
-    """
-    offsets = np.cumsum([0] + [len(t.feature) for t in trees[:-1]])
-    feature = np.concatenate([t.feature for t in trees])
-    threshold = np.concatenate([t.threshold for t in trees])
-    value = np.concatenate([t.value for t in trees])
-    left = np.concatenate([t.left + o for t, o in zip(trees, offsets)])
-    right = np.concatenate([t.right + o for t, o in zip(trees, offsets)])
-    # (nodes, heap slots, tree of each node) of every level, root first
-    levels = []
-    nodes, slots, tree = offsets, np.zeros(len(trees), dtype=np.intp), np.arange(len(trees))
-    while nodes.size:
-        split = feature[nodes] >= 0
-        levels.append((nodes, slots, tree, split))
-        nodes, slots, tree = nodes[split], slots[split], tree[split]
-        nodes = np.concatenate([left[nodes], right[nodes]])
-        slots = np.concatenate([2 * slots + 1, 2 * slots + 2])
-        tree = np.concatenate([tree, tree])
-    d = len(levels) - 1
-    feat = np.zeros((len(trees), 2**d - 1), dtype=np.intp)
-    thr = np.full((len(trees), 2**d - 1), np.inf)
-    val = np.empty((len(trees), 2**d))
-    for k, (nodes, slots, tree, split) in enumerate(levels):
-        feat[tree[split], slots[split]] = feature[nodes[split]]
-        thr[tree[split], slots[split]] = threshold[nodes[split]]
-        # slot s of level k has the left-most bottom descendant (s+1) 2^(d-k) - 1,
-        # and the bottom starts after the 2^d - 1 split slots
-        leaf = ~split
-        val[tree[leaf], (slots[leaf] + 1) * 2 ** (d - k) - 2**d] = value[nodes[leaf]]
-    return feat, thr, val
-
-
 @dataclass
 class Ensemble:
     """base_score plus learning_rate-weighted sum of tree outputs."""
@@ -221,18 +182,27 @@ class Ensemble:
         out = np.full(n, self.base_score)
         chunk = max(1, PREDICT_CELLS // max(n, 1))
         for start in range(0, len(self.trees), chunk):
-            feat, thr, val = _heap_arrays(self.trees[start : start + chunk])
-            t, inner = feat.shape
-            tree = np.arange(t)[:, None]
-            heap_start = tree * inner
-            slot = np.zeros((t, n), dtype=np.intp)
-            for _ in range(inner.bit_length()):
-                at = heap_start + slot
-                go_left = x_flat[row_start + feat.ravel()[at]] < thr.ravel()[at]
-                slot = 2 * slot + 2 - go_left  # children 2i+1 (left) and 2i+2
+            trees = self.trees[start : start + chunk]
+            # the chunk's node arrays end to end; a leaf becomes a self-loop
+            # (feature 0, threshold +inf, both children itself) that keeps every row
+            roots = np.cumsum([0] + [len(t.feature) for t in trees[:-1]])
+            feature = np.concatenate([t.feature for t in trees])
+            leaf = feature < 0
+            own = np.flatnonzero(leaf)
+            threshold = np.concatenate([t.threshold for t in trees])
+            left = np.concatenate([t.left + r for t, r in zip(trees, roots)])
+            right = np.concatenate([t.right + r for t, r in zip(trees, roots)])
+            feature[own], threshold[own], left[own], right[own] = 0, np.inf, own, own
+            node = np.repeat(roots[:, None], n, axis=1)
+            for _ in range(self.config.max_depth):
+                go_left = x_flat[row_start + feature[node]] < threshold[node]
+                node = np.where(go_left, left[node], right[node])
+            if not leaf[node].all():
+                raise ValueError(f"a tree is deeper than its max_depth={self.config.max_depth} or has a cycle")
             # tree outputs join the sum one tree at a time, in tree order
-            for leaf in val[tree, slot - inner]:
-                out += self.config.learning_rate * leaf
+            values = np.concatenate([t.value for t in trees])
+            for leaf_value in values[node]:
+                out += self.config.learning_rate * leaf_value
         return out
 
     def to_dict(self) -> dict:

@@ -33,6 +33,9 @@ DEFAULT_STEP = 1e-3
 MAX_RK4_STEPS = 10**6
 SURROGATE_SIGMA_XY = 0.005
 SURROGATE_SIGMA_THETA = 0.01
+# steering must satisfy |delta| < DELTA_LIMIT; the surrogate takes mu in (0, MU_MAX]
+DELTA_LIMIT = math.pi / 2
+MU_MAX = 1.5
 
 
 @dataclass(frozen=True)
@@ -62,7 +65,7 @@ class ManeuverInput:
     def __post_init__(self):
         if not self.v_i > 0:
             raise ValueError(f"initial speed must be positive, got {self.v_i}")
-        if not abs(self.delta) < math.pi / 2:
+        if not abs(self.delta) < DELTA_LIMIT:
             raise ValueError(f"steering angle must satisfy |delta| < pi/2, got {self.delta}")
         if not self.g > 0:
             raise ValueError(f"gravity must be positive, got {self.g}")
@@ -293,8 +296,8 @@ def _saturated_inputs(
     vehicle: VehicleSpec, mu: float | None, v_i: float, a: float, delta: float, g: float
 ) -> tuple[float, float]:
     """Apply rear-axle and lateral adherence limits to (a, delta)."""
-    if mu is None or not 0.0 < mu <= 1.5:
-        raise ValueError(f"surrogate requires mu in (0, 1.5], got {mu}")
+    if mu is None or not 0.0 < mu <= MU_MAX:
+        raise ValueError(f"surrogate requires mu in (0, {MU_MAX}], got {mu}")
     limit = mu * g * vehicle.rear_normal_Nr / (vehicle.front_normal_Nf + vehicle.rear_normal_Nr)
     a_eff = -min(abs(a), limit)
     delta_eff = delta

@@ -74,6 +74,10 @@ def test_gen_writes_datasets(conf, tmp_path, capsys):
         ("kinematic", "grid.kinematic", "v_i = 0.1, 5.0, 0"),
         ("surrogate", "grid.surrogate", "mu ="),
         ("kinematic", "grid.kinematic", "v_i = 0.1, 5.0, 2.5"),
+        ("kinematic", "grid.kinematic", "v_i = 0.0, 5.0, 3"),
+        ("kinematic", "grid.kinematic", "a_g = 0.0, 1.0, 3"),
+        ("kinematic", "grid.kinematic", "delta = 0.0, 1.6, 3"),
+        ("surrogate", "grid.surrogate", "mu = 2.0"),
     ],
 )
 def test_gen_with_a_bad_grid_axis_fails_and_writes_nothing(tmp_path, capsys, source, section, line):
@@ -203,18 +207,32 @@ def test_vehicles_file_flag(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "text",
-    ["[run]\nseed = 3\n", "[vehicles]\nmini = 0.2, 10.0, 10.0\n[run]\nseed = 3\n", ""],
-    ids=["run-only", "vehicles-and-run", "empty"],
+    "text, message",
+    [
+        ("[run]\nseed = 3\n", "needs exactly one [vehicles] section"),
+        ("[vehicles]\nmini = 0.2, 10.0, 10.0\n[run]\nseed = 3\n", "needs exactly one [vehicles] section"),
+        ("", "needs exactly one [vehicles] section"),
+        ("[vehicles]\n", "[vehicles] lists no vehicle"),
+    ],
+    ids=["run-only", "vehicles-and-run", "empty", "no-vehicle"],
 )
-def test_vehicles_file_needs_only_a_vehicles_section(conf, tmp_path, capsys, text):
+def test_vehicles_file_needs_only_a_vehicles_section(conf, tmp_path, capsys, text, message):
     veh = tmp_path / "veh.conf"
     veh.write_text(text)
     out = tmp_path / "reports"
     assert run("gen", "--config", conf, "--vehicles", veh, "--out", out) == 2
     err = capsys.readouterr().err
-    assert f"vehicles file {veh}: needs exactly one [vehicles] section" in err
+    assert f"vehicles file {veh}: {message}" in err
     assert not (out / "data").exists()
+
+
+def test_config_with_an_empty_vehicles_section_fails(tmp_path, capsys):
+    tiny = tmp_path / "tiny.conf"
+    tiny.write_text(TINY_CONF.replace("small = 0.345, 37.77, 28.84\nlarge = 0.475, 71.12, 71.12\n", ""))
+    out = tmp_path / "reports"
+    assert run("gen", "--config", tiny, "--out", out) == 2
+    assert f"config {tiny}: [vehicles] lists no vehicle" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_matrix_one_vehicle_fails(tmp_path, capsys):

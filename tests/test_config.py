@@ -100,6 +100,14 @@ def test_bad_vehicle_line(tmp_path):
         ("[grid.kinematic]\nv_i = 0.1, 5.0, 0\n", ["[grid.kinematic] v_i", ">= 1", "'0'"]),
         ("[grid.surrogate]\nmu =\n", ["[grid.surrogate] mu", "at least one value"]),
         ("[grid.kinematic]\nv_i = 0.1, 5.0, 2.5\n", ["[grid.kinematic] v_i", "whole number", "'2.5'"]),
+        ("[gbt]\nrounds = ten\n", ["[gbt] rounds", "'ten'"]),
+        ("[gbt]\nrounds = 0\n", ["[gbt] rounds", "n_rounds must be >= 1"]),
+        ("[gbt]\nlr = 1.5\n", ["[gbt] lr", "learning_rate must be in (0, 1]"]),
+        ("[run]\nseed = 1.5\n", ["[run] seed", "'1.5'"]),
+        ("[curve]\nrepeats = many\n", ["[curve] repeats", "'many'"]),
+        ("[vehicles]\nsmall = 0.345, x, 28.84\n", ["[vehicles] small", "'x'"]),
+        ("[vehicles]\nsmall = 0.345, -1.0, 28.84\n", ["[vehicles] small", "must all be positive"]),
+        ("[vehicles]\n", ["[vehicles] lists no vehicle"]),
     ],
 )
 def test_unknown_or_invalid_entries_rejected(tmp_path, text, names):
@@ -109,3 +117,15 @@ def test_unknown_or_invalid_entries_rejected(tmp_path, text, names):
         load_run_config(path)
     for name in names + [str(path)]:
         assert name in str(err.value)
+
+
+def test_grid_axis_range_checks_only_the_values_taken(tmp_path):
+    path = tmp_path / "run.conf"
+    # a one-point linspace takes only its start; every listed value is checked
+    path.write_text("[grid.kinematic]\nv_i = 1.0, 0.0, 1\n[grid.surrogate]\nmu = 0.2, 1.5\ndelta = -0.5, 0.5\n")
+    cfg = load_run_config(path)
+    assert cfg.kinematic_grid["v_i"] == (1.0, 0.0, 1)
+    assert cfg.surrogate_grid["mu"] == (0.2, 1.5)
+    path.write_text("[grid.surrogate]\ndelta = 0.5, -1.6\n")
+    with pytest.raises(ValueError, match=r"\[grid.surrogate\] delta: -1.6 is out of range: .*\|delta\| < pi/2"):
+        load_run_config(path)

@@ -1,10 +1,11 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from pibrake import gbt
-from pibrake.gbt import Ensemble, GbtConfig, fit, load_ensembles, save_ensembles
+from pibrake.gbt import Ensemble, GbtConfig, RegressionTree, fit, load_ensembles, save_ensembles
 
 
 def test_config_validation():
@@ -224,3 +225,35 @@ def test_heap_predictor_matches_a_reference_walk(monkeypatch, depth, rounds, con
     np.testing.assert_array_equal(e.predict(probe), want)
     empty = Ensemble(e.base_score, [], e.config, e.n_features)
     np.testing.assert_array_equal(empty.predict(probe), _reference_predict(empty, probe))
+
+
+def _chain_tree(depth):
+    """Split j sends x < j to a leaf of value j and the rest on to split j+1; the last right leaf is depth."""
+    n = 2 * depth + 1
+    feature = [0, -1] * depth + [-1]
+    threshold = [float(j // 2) if j % 2 == 0 else 0.0 for j in range(n - 1)] + [0.0]
+    left = [j + 1 if j % 2 == 0 else -1 for j in range(n - 1)] + [-1]
+    right = [j + 2 if j % 2 == 0 else -1 for j in range(n - 1)] + [-1]
+    value = [float(j // 2) for j in range(n)]
+    return RegressionTree(feature, threshold, left, right, value)
+
+
+def test_node_walk_of_a_depth_40_chain_tree():
+    e = Ensemble(0.5, [_chain_tree(40), _chain_tree(3)], GbtConfig(max_depth=40), n_features=1)
+    x = np.array([[-1.0], [0.5], [20.5], [38.5], [39.5], [1e9]])
+    tracemalloc.start()
+    try:
+        got = e.predict(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(got, _reference_predict(e, x))
+    assert got[-1] == 0.5 + 0.1 * 40 + 0.1 * 3  # the depth-40 leaf, then the depth-3 one
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("tree", [_chain_tree(7), RegressionTree([0], [0.5], [0], [0], [0.0])], ids=["deep", "cycle"])
+def test_a_tree_deeper_than_its_config_raises(tree):
+    e = Ensemble(0.0, [tree], GbtConfig(max_depth=6), n_features=1)
+    with pytest.raises(ValueError, match="deeper than its max_depth=6"):
+        e.predict(np.array([[0.0], [100.0]]))
