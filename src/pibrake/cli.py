@@ -19,7 +19,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import RunConfig, load_run_config, load_vehicles
+from .config import RunConfig, _floats, load_run_config, load_vehicles
 from .dataset import Dataset, generate, load_csv, save_csv
 from .dimensions import (
     DEFAULT_REPEATED,
@@ -87,7 +87,7 @@ def build_parser() -> _Parser:
         if name == "curve":
             p.add_argument("--scheme", choices=SCHEME_NAMES)
             p.add_argument("--vehicle", help="vehicle whose self-prediction curve to compute")
-            p.add_argument("--fractions", help="comma-separated training fractions")
+            p.add_argument("--fractions", type=_floats, help="comma-separated training fractions")
             p.add_argument("--repeats", type=int)
         if name == "compare":
             p.add_argument("--target", help="target vehicle (default large)")
@@ -113,7 +113,7 @@ def _resolve_config(args) -> RunConfig:
         if v is not None:
             cfg.gbt = replace(cfg.gbt, **{field_name: v})
     if getattr(args, "fractions", None) is not None:
-        cfg.fractions = tuple(float(t) for t in args.fractions.replace(",", " ").split())
+        cfg.fractions = args.fractions
     if getattr(args, "repeats", None) is not None:
         cfg.repeats = args.repeats
     if getattr(args, "target", None) is not None:

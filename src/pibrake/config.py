@@ -172,7 +172,10 @@ def load_vehicles(path: str | Path) -> dict[str, VehicleSpec]:
 
 
 def _set(cfg: RunConfig, section: str, key: str, text: str) -> None:
-    """Parse one value of a fixed-key section into ``cfg``; a bad value raises ``ValueError``."""
+    """Parse one value of any section but ``[vehicles]`` into ``cfg``; a bad value raises ``ValueError``."""
+    if section == "variables":
+        cfg.variables += variables_from_config({key: text})
+        return
     if section.startswith("grid."):
         source = section.removeprefix("grid.")
         cfg.grid_for(source)[key] = _grid_axis(source, key, text)
@@ -199,11 +202,11 @@ def load_run_config(path: str | Path | None = None) -> RunConfig:
     for section in parser.sections():
         if section not in SECTION_KEYS:
             raise ValueError(f"config {path}: unknown section [{section}]")
-        allowed = SECTION_KEYS[section]
-        if allowed is None:
+        if section == "vehicles":
             continue
+        allowed = SECTION_KEYS[section]
         for key, text in parser[section].items():
-            if key not in allowed:
+            if allowed is not None and key not in allowed:
                 raise ValueError(
                     f"config {path}: unknown key {key!r} in [{section}]; expected one of {tuple(allowed)}"
                 )
@@ -216,7 +219,5 @@ def load_run_config(path: str | Path | None = None) -> RunConfig:
             raise ValueError(f"config {path}: [run] {key} = {value!r} is not one of {choices}")
     if parser.has_section("vehicles"):
         cfg.vehicles = parse_vehicles(dict(parser["vehicles"]), f"config {path}")
-    if parser.has_section("variables"):
-        cfg.variables = variables_from_config(dict(parser["variables"]))
     return cfg
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -84,61 +84,28 @@ class ManeuverRecord:
     vehicle: VehicleSpec
     inputs: ManeuverInput
     outcome: FinalPose
-    source: str
-
-    def key(self) -> tuple:
-        """Identity of the underlying experiment, for leakage audits."""
-        v, i = self.vehicle, self.inputs
-        return (v.name, v.wheelbase_l, v.front_normal_Nf, v.rear_normal_Nr, i.v_i, i.a, i.delta, i.mu, i.g)
-
-
-def _one_source(sources: Iterable[str]) -> str | None:
-    kinds = sorted(set(sources))
-    if len(kinds) > 1:
-        raise ValueError(f"dataset mixes sources {kinds}")
-    return kinds[0] if kinds else None
 
 
 class Dataset:
     """Maneuvers from a single source, stored as numpy columns.
 
     ``vehicles`` lists each distinct vehicle once and ``vehicle_index`` maps
-    every row to its entry.  :meth:`columns` holds the float fields named in
-    ``FLOAT_COLUMNS``, with ``mu`` NaN where a maneuver has none.  Rows
-    exist as :class:`ManeuverRecord` objects only when :attr:`records` or
-    iteration builds them.
+    every row to its entry.  ``columns`` holds the ``ROW_COLUMNS`` arrays,
+    with ``mu`` NaN where a maneuver has none; every row is checked.
+    :meth:`columns` adds the vehicle geometry.  Iteration yields each row as
+    a :class:`ManeuverRecord`.
     """
 
-    def __init__(self, records: Iterable[ManeuverRecord] = (), provenance: str = ""):
-        records = tuple(records)
-        table: dict[VehicleSpec, int] = {}
-        index = [table.setdefault(r.vehicle, len(table)) for r in records]
-        # ManeuverInput and FinalPose fields are ROW_COLUMNS in order; None -> NaN
-        rows = [astuple(r.inputs) + astuple(r.outcome) for r in records]
-        values = np.array(rows, dtype=float).reshape(len(rows), len(ROW_COLUMNS))
-        self._assign(
-            tuple(table),
-            np.array(index, dtype=np.intp),
-            dict(zip(ROW_COLUMNS, values.T.copy())),
-            _one_source(r.source for r in records),
-            provenance,
-        )
-
-    @classmethod
-    def from_columns(
-        cls,
+    def __init__(
+        self,
         vehicles: Sequence[VehicleSpec],
         vehicle_index: np.ndarray,
         columns: dict[str, np.ndarray],
         source: str | None,
         provenance: str = "",
-    ) -> Dataset:
-        """Build a dataset from the ``ROW_COLUMNS`` arrays, checking every row."""
-        d = cls.__new__(cls)
-        d._assign(tuple(vehicles), np.asarray(vehicle_index, dtype=np.intp), columns, source, provenance)
-        return d
-
-    def _assign(self, vehicles, vehicle_index, columns, source, provenance) -> None:
+    ):
+        vehicles = tuple(vehicles)
+        vehicle_index = np.asarray(vehicle_index, dtype=np.intp)
         if len(vehicle_index) and source not in SOURCES:
             raise ValueError(f"unknown source {source!r}")
         c = {name: np.asarray(columns[name], dtype=float) for name in ROW_COLUMNS}
@@ -163,7 +130,12 @@ class Dataset:
         return len(self.vehicle_index)
 
     def __iter__(self) -> Iterator[ManeuverRecord]:
-        return iter(self.records)
+        c = self._columns
+        for k, v_i, a, delta, mu, g, x, y, theta in zip(
+            self.vehicle_index.tolist(), *(c[name].tolist() for name in ROW_COLUMNS)
+        ):
+            inputs = ManeuverInput(v_i, a, delta, None if math.isnan(mu) else mu, g)
+            yield ManeuverRecord(self.vehicles[k], inputs, FinalPose(x, y, theta))
 
     @property
     def source(self) -> str:
@@ -171,24 +143,8 @@ class Dataset:
             raise ValueError("empty dataset has no source")
         return self._source
 
-    @property
-    def records(self) -> tuple[ManeuverRecord, ...]:
-        """Every row as a :class:`ManeuverRecord`, built anew on each access."""
-        c = self._columns
-        return tuple(
-            ManeuverRecord(
-                self.vehicles[k],
-                ManeuverInput(v_i, a, delta, None if math.isnan(mu) else mu, g),
-                FinalPose(x, y, theta),
-                self._source,
-            )
-            for k, v_i, a, delta, mu, g, x, y, theta in zip(
-                self.vehicle_index.tolist(), *(c[name].tolist() for name in ROW_COLUMNS)
-            )
-        )
-
     def keys(self) -> list[tuple]:
-        """:meth:`ManeuverRecord.key` of every row, built from the columns."""
+        """The identity of every row's experiment, for leakage audits."""
         c = self._columns
         names = [self.vehicles[k].name for k in self.vehicle_index.tolist()]
         mu = [None if math.isnan(m) else m for m in c["mu"].tolist()]
@@ -201,13 +157,8 @@ class Dataset:
 
     def take(self, rows: np.ndarray, provenance: str) -> Dataset:
         """The dataset of the given row indices, in that order."""
-        return Dataset.from_columns(
-            self.vehicles,
-            self.vehicle_index[rows],
-            {name: self._columns[name][rows] for name in ROW_COLUMNS},
-            self._source,
-            provenance,
-        )
+        columns = {name: self._columns[name][rows] for name in ROW_COLUMNS}
+        return Dataset(self.vehicles, self.vehicle_index[rows], columns, self._source, provenance)
 
 
 def _product(axes: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -297,7 +248,7 @@ def kinematic_grid(
     c["X"], c["Y"], c["theta"] = poses
     provenance = f"kinematic grid, vehicle={vehicle.name}, step={step}"
     index = np.zeros(len(c["v_i"]), dtype=np.intp)
-    return Dataset.from_columns((vehicle,), index, c, "kinematic", provenance)
+    return Dataset((vehicle,), index, c, "kinematic", provenance)
 
 
 def surrogate_grid(
@@ -321,7 +272,7 @@ def surrogate_grid(
     c["X"], c["Y"], c["theta"] = poses
     provenance = f"surrogate grid, vehicle={vehicle.name}, seed={seed}"
     index = np.zeros(len(c["v_i"]), dtype=np.intp)
-    return Dataset.from_columns((vehicle,), index, c, "surrogate", provenance)
+    return Dataset((vehicle,), index, c, "surrogate", provenance)
 
 
 def split(d: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -352,7 +303,7 @@ def merge(datasets: Sequence[Dataset]) -> Dataset:
     )
     columns = {name: np.concatenate([d.columns()[name] for d in datasets]) for name in ROW_COLUMNS}
     provenance = " + ".join(d.provenance for d in datasets)
-    return Dataset.from_columns(table, index, columns, kinds.pop(), provenance=f"merged({provenance})")
+    return Dataset(table, index, columns, kinds.pop(), provenance=f"merged({provenance})")
 
 
 def save_csv(d: Dataset, path: str | Path) -> Path:
@@ -389,9 +340,10 @@ def load_csv(path: str | Path) -> Dataset:
     vehicles = [VehicleSpec(name, float(l), float(nf), float(nr)) for name, l, nf, nr in table]
     columns = {name: np.array([float(t) for t in fields[name]]) for name in ROW_COLUMNS if name != "mu"}
     columns["mu"] = np.array([float(t) if t else math.nan for t in fields["mu"]])
-    return Dataset.from_columns(
-        vehicles, index, columns, _one_source(fields["source"]), provenance=f"loaded from {path.name}"
-    )
+    sources = sorted(set(fields["source"]))
+    if len(sources) > 1:
+        raise ValueError(f"dataset mixes sources {sources}")
+    return Dataset(vehicles, index, columns, sources[0] if sources else None, f"loaded from {path.name}")
 
 
 def generate(

@@ -57,14 +57,10 @@ class PredictionCell:
     mae_x: float
     mae_y: float
     mae_theta: float
-    kind: str
 
-    def __post_init__(self):
-        expected = _cell_kind(self.model_vehicle, self.data_vehicle)
-        if self.kind != expected:
-            raise ValueError(
-                f"cell ({self.model_vehicle}, {self.data_vehicle}) must be kind {expected!r}"
-            )
+    @property
+    def kind(self) -> str:
+        return _cell_kind(self.model_vehicle, self.data_vehicle)
 
     def maes(self) -> tuple[float, float, float]:
         return (self.mae_x, self.mae_y, self.mae_theta)
@@ -88,9 +84,6 @@ class ExperimentReport:
             if c.model_vehicle == model_vehicle and c.data_vehicle == data_vehicle:
                 return c
         raise KeyError((model_vehicle, data_vehicle))
-
-    def kind_cells(self, kind: str) -> list[PredictionCell]:
-        return [c for c in self.cells if c.kind == kind]
 
 
 def mae(actual: np.ndarray, predicted: np.ndarray) -> tuple[float, float, float]:
@@ -183,10 +176,9 @@ def run_matrix(
     cells = []
     for model_name, (pipe, ensembles) in models.items():
         for data_name, test in tests.items():
-            kind = _cell_kind(model_name, data_name)
             predicted = _predict_physical(pipe, ensembles, test)
             mx, my, mth = mae(_actual_pose(test), predicted)
-            cells.append(PredictionCell(model_name, data_name, mx, my, mth, kind))
+            cells.append(PredictionCell(model_name, data_name, mx, my, mth))
 
     summary = {
         kind: tuple(

@@ -170,6 +170,23 @@ class Ensemble:
     config: GbtConfig
     n_features: int
 
+    def __post_init__(self):
+        # a split's children lie after it inside its own tree (the pre-order
+        # numbering of _build_tree), so every walk ends at a leaf of that tree
+        for k, t in enumerate(self.trees):
+            n = len(t.feature)
+            if n < 1 or {len(t.threshold), len(t.left), len(t.right), len(t.value)} != {n}:
+                raise ValueError(f"tree {k}: its node arrays need one common length >= 1")
+            i = np.flatnonzero(t.feature >= 0)
+            ok = (i < t.left[i]) & (t.left[i] < n) & (i < t.right[i]) & (t.right[i] < n)
+            j = i[~(ok & (t.feature[i] < self.n_features))]
+            if j.size:
+                j = j[0]
+                raise ValueError(
+                    f"tree {k}: split node {j} has feature {t.feature[j]} and children {t.left[j]}, {t.right[j]};"
+                    f" needs a feature below {self.n_features} and children in ({j}, {n})"
+                )
+
     def predict(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.n_features:
@@ -198,7 +215,7 @@ class Ensemble:
                 go_left = x_flat[row_start + feature[node]] < threshold[node]
                 node = np.where(go_left, left[node], right[node])
             if not leaf[node].all():
-                raise ValueError(f"a tree is deeper than its max_depth={self.config.max_depth} or has a cycle")
+                raise ValueError(f"a tree is deeper than its max_depth={self.config.max_depth}")
             # tree outputs join the sum one tree at a time, in tree order
             values = np.concatenate([t.value for t in trees])
             for leaf_value in values[node]:
@@ -277,4 +294,7 @@ def load_ensembles(path: str | Path) -> list[Ensemble]:
             raise ValueError(
                 f"{path} was saved by an older pibrake: its learner config has the unknown fields {unknown}"
             )
-    return [Ensemble.from_dict(d) for d in doc["ensembles"]]
+    try:
+        return [Ensemble.from_dict(d) for d in doc["ensembles"]]
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None

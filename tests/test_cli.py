@@ -278,6 +278,14 @@ def test_curve_zero_or_empty_values_fail(tmp_path, capsys, conf_text, argv, mess
     assert not (out / "kinematic" / "pi" / "curves").exists()
 
 
+def test_curve_fractions_that_do_not_parse_are_a_usage_error(conf, tmp_path, capsys):
+    out = tmp_path / "reports"
+    assert run("curve", "--config", conf, "--out", out, "--vehicle", "small", "--fractions", "0.5,abc") == 1
+    err = capsys.readouterr().err
+    assert "--fractions" in err and "'0.5,abc'" in err
+    assert not out.exists()
+
+
 STRETCHED = "[vehicles]\nsmall = 0.5, 37.77, 28.84\nlarge = 0.475, 71.12, 71.12\n"
 
 

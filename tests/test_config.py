@@ -108,6 +108,8 @@ def test_bad_vehicle_line(tmp_path):
         ("[vehicles]\nsmall = 0.345, x, 28.84\n", ["[vehicles] small", "'x'"]),
         ("[vehicles]\nsmall = 0.345, -1.0, 28.84\n", ["[vehicles] small", "must all be positive"]),
         ("[vehicles]\n", ["[vehicles] lists no vehicle"]),
+        ("[variables]\nN_f = M Q\n", ["[variables] N_f", "unknown base dimension 'Q'"]),
+        ("[variables]\nx = L^y\n", ["[variables] x", "'y'"]),
     ],
 )
 def test_unknown_or_invalid_entries_rejected(tmp_path, text, names):

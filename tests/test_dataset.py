@@ -4,7 +4,9 @@ import pytest
 from pibrake.dataset import (
     CSV_HEADER,
     DEFAULT_VEHICLES,
+    FLOAT_COLUMNS,
     Dataset,
+    ManeuverRecord,
     generate,
     kinematic_grid,
     load_csv,
@@ -13,7 +15,7 @@ from pibrake.dataset import (
     split,
     surrogate_grid,
 )
-from pibrake.simulator import VehicleSpec, calibrate_step
+from pibrake.simulator import FinalPose, ManeuverInput, VehicleSpec, calibrate_step
 
 
 SMALL = DEFAULT_VEHICLES["small"]
@@ -26,6 +28,16 @@ TINY_SUR_GRID = {"mu": (0.2, 0.9), "v_i": (1.0, 3.0, 3), "a_g": (0.2, 1.0, 3), "
 @pytest.fixture(scope="module")
 def small_grid():
     return kinematic_grid(SMALL)
+
+
+def same_rows(a, b):
+    """Whether two datasets hold the same rows in the same order, compared on their columns."""
+    return (
+        np.array_equal(a.vehicles, b.vehicles)
+        and np.array_equal(a.vehicle_index, b.vehicle_index)
+        and a.source == b.source
+        and all(np.array_equal(a.columns()[n], b.columns()[n], equal_nan=True) for n in FLOAT_COLUMNS)
+    )
 
 
 def test_default_vehicle_registry():
@@ -47,7 +59,7 @@ def test_kinematic_grid_size_and_axes(small_grid):
 
 
 def test_kinematic_grid_first_point(small_grid):
-    first = small_grid.records[0]
+    first = next(iter(small_grid))
     assert first.inputs.v_i == pytest.approx(0.1)
     assert first.inputs.a == pytest.approx(-0.981)
     assert first.inputs.delta == 0.0
@@ -68,7 +80,7 @@ def test_surrogate_grid_size_and_determinism(tmp_path):
     save_csv(a, pa)
     save_csv(b, pb)
     assert pa.read_bytes() == pb.read_bytes()
-    assert surrogate_grid(SMALL, seed=8).records[0] != a.records[0]
+    assert next(iter(surrogate_grid(SMALL, seed=8))) != next(iter(a))
 
 
 def test_surrogate_gentle_row_is_kinematic_plus_noise():
@@ -88,14 +100,14 @@ def test_surrogate_gentle_row_is_kinematic_plus_noise():
 def test_split_sizes(small_grid):
     train, test = split(small_grid, 0.8, seed=0)
     assert len(train) == 4400 and len(test) == 1100
-    keys = {r.key() for r in small_grid}
-    assert {r.key() for r in train} | {r.key() for r in test} == keys
-    assert not ({r.key() for r in train} & {r.key() for r in test})
+    keys = set(small_grid.keys())
+    assert set(train.keys()) | set(test.keys()) == keys
+    assert not (set(train.keys()) & set(test.keys()))
 
 
 def test_split_two_records():
     ds = kinematic_grid(SMALL, grid=TINY_KIN_GRID)
-    two = Dataset(ds.records[:2], "pair")
+    two = ds.take(np.arange(2), "pair")
     one, other = split(two, 0.5, seed=1)
     assert len(one) == 1 and len(other) == 1
 
@@ -104,8 +116,8 @@ def test_split_seeded_and_validated(small_grid):
     t1, _ = split(small_grid, 0.8, seed=5)
     t2, _ = split(small_grid, 0.8, seed=5)
     t3, _ = split(small_grid, 0.8, seed=6)
-    assert t1.records == t2.records
-    assert t1.records != t3.records
+    assert same_rows(t1, t2)
+    assert not same_rows(t1, t3)
     with pytest.raises(ValueError):
         split(small_grid, 1.0, seed=0)
     with pytest.raises(ValueError):
@@ -117,7 +129,7 @@ def test_merge_counts_and_identity():
     trains = [split(p, 0.8, seed=0)[0] for p in parts]
     merged = merge(trains)
     assert len(merged) == sum(len(t) for t in trains)
-    assert merge([parts[0]]).records == parts[0].records
+    assert same_rows(merge([parts[0]]), parts[0])
     wheelbases = {r.vehicle.wheelbase_l for r in merged}
     assert wheelbases == {0.345, 0.853, 0.475}
 
@@ -129,18 +141,21 @@ def test_merge_rejects_mixed_sources():
         merge([kin, sur])
 
 
-def test_dataset_rejects_mixed_sources():
-    kin = kinematic_grid(SMALL, grid=TINY_KIN_GRID)
-    sur = surrogate_grid(SMALL, seed=0, grid=TINY_SUR_GRID)
+def test_dataset_rejects_mixed_sources(tmp_path):
+    kin = save_csv(kinematic_grid(SMALL, grid=TINY_KIN_GRID), tmp_path / "kin.csv")
+    sur = save_csv(surrogate_grid(SMALL, seed=0, grid=TINY_SUR_GRID), tmp_path / "sur.csv")
+    # the kinematic file, then the surrogate rows without their header
+    mixed = tmp_path / "mixed.csv"
+    mixed.write_bytes(kin.read_bytes() + sur.read_bytes().split(b"\n", 1)[1])
     with pytest.raises(ValueError, match="mixes"):
-        Dataset(kin.records + sur.records)
+        load_csv(mixed)
 
 
 def test_csv_round_trip_bit_exact(tmp_path):
     ds = surrogate_grid(LARGE, seed=9, grid=TINY_SUR_GRID)
     p1 = save_csv(ds, tmp_path / "one.csv")
     loaded = load_csv(p1)
-    assert loaded.records == ds.records
+    assert same_rows(loaded, ds)
     p2 = save_csv(loaded, tmp_path / "two.csv")
     assert p1.read_bytes() == p2.read_bytes()
 
@@ -148,8 +163,8 @@ def test_csv_round_trip_bit_exact(tmp_path):
 def test_csv_round_trip_kinematic_mu_empty(tmp_path):
     ds = kinematic_grid(SMALL, grid=TINY_KIN_GRID)
     loaded = load_csv(save_csv(ds, tmp_path / "kin.csv"))
-    assert loaded.records == ds.records
-    assert loaded.records[0].inputs.mu is None
+    assert same_rows(loaded, ds)
+    assert next(iter(loaded)).inputs.mu is None
 
 
 def test_load_rejects_foreign_header(tmp_path):
@@ -211,6 +226,22 @@ def test_columns_must_match_the_rows():
     c = kinematic_grid(SMALL, grid=TINY_KIN_GRID).columns()
     short = {name: c[name][:-1] if name == "theta" else c[name] for name in c}
     with pytest.raises(ValueError, match=r"column 'theta' has shape \(35,\), expected \(36,\)"):
-        Dataset.from_columns([SMALL], np.zeros(36, dtype=np.intp), short, "kinematic")
+        Dataset([SMALL], np.zeros(36, dtype=np.intp), short, "kinematic")
     with pytest.raises(ValueError, match="column 'X'"):
         kinematic_grid(SMALL, step=1e-3, grid=TINY_KIN_GRID, poses=(c["X"][:5], c["Y"], c["theta"]))
+
+
+@pytest.mark.parametrize(
+    "source, grid", [("kinematic", TINY_KIN_GRID), ("surrogate", TINY_SUR_GRID)], ids=["kinematic", "surrogate"]
+)
+def test_iteration_yields_each_row_built_from_the_columns(source, grid):
+    ds = merge(list(generate([SMALL, LARGE], source, seed=2, grid=grid).values()))
+    records = list(ds)
+    assert len(records) == len(ds)
+    c = ds.columns()
+    for i, r in enumerate(records):
+        mu = None if source == "kinematic" else c["mu"][i]
+        inputs = ManeuverInput(c["v_i"][i], c["a"][i], c["delta"][i], mu, c["g"][i])
+        pose = FinalPose(c["X"][i], c["Y"][i], c["theta"][i])
+        assert r == ManeuverRecord(ds.vehicles[ds.vehicle_index[i]], inputs, pose)
+    assert all(r.inputs.mu is None for r in records) == (source == "kinematic")

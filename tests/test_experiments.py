@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pibrake import gbt
-from pibrake.dataset import DEFAULT_VEHICLES, Dataset, kinematic_grid, split, surrogate_grid
+from pibrake.dataset import DEFAULT_VEHICLES, kinematic_grid, merge, split, surrogate_grid
 from pibrake.experiments import (
     MERGED,
     RESERVED_NAMES,
@@ -46,10 +46,12 @@ def test_mae_basics():
 
 
 def test_cell_kind_enforced():
-    with pytest.raises(ValueError, match="kind"):
+    # the kind is derived from the pairing, so a wrong one cannot be passed
+    assert PredictionCell("small", "small", 0.1, 0.1, 0.1).kind == "self"
+    assert PredictionCell("small", "large", 0.1, 0.1, 0.1).kind == "cross"
+    assert PredictionCell(MERGED, "small", 0.1, 0.1, 0.1).kind == "shared"
+    with pytest.raises(TypeError):
         PredictionCell("small", "small", 0.1, 0.1, 0.1, "cross")
-    with pytest.raises(ValueError, match="kind"):
-        PredictionCell(MERGED, "small", 0.1, 0.1, 0.1, "self")
 
 
 def test_matrix_shape_and_kinds(tiny_report):
@@ -67,7 +69,7 @@ def test_matrix_shape_and_kinds(tiny_report):
 
 def test_matrix_summary_recomputes_from_cells(tiny_report):
     for kind in ("self", "cross", "shared"):
-        cells = tiny_report.kind_cells(kind)
+        cells = [c for c in tiny_report.cells if c.kind == kind]
         for j, got in enumerate(tiny_report.summary[kind]):
             assert got == pytest.approx(np.mean([c.maes()[j] for c in cells]), rel=1e-12)
 
@@ -87,7 +89,7 @@ def test_audit_catches_overlap(tiny_datasets):
     ds = tiny_datasets["small"]
     train, test = split(ds, 0.8, seed=0)
     assert audit_no_leakage({"m": train}, {"small": test}) == []
-    dirty = Dataset(train.records + test.records[:1], "dirty")
+    dirty = merge([train, test.take(np.array([0]), "dirty")])
     assert audit_no_leakage({"m": dirty}, {"small": test}) == [("m", "small")]
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pibrake import features as features_module
-from pibrake.dataset import Dataset, ManeuverRecord, kinematic_grid, merge, surrogate_grid
+from pibrake.dataset import ROW_COLUMNS, Dataset, kinematic_grid, merge, surrogate_grid
 from pibrake.dimensions import DIMENSIONLESS, PiGroup
 from pibrake.features import (
     FeatureMatrix,
@@ -14,32 +14,36 @@ from pibrake.features import (
     SCHEME_NAMES,
     make_pipeline,
 )
-from pibrake.simulator import FinalPose, ManeuverInput, VehicleSpec
+from pibrake.simulator import VehicleSpec
 
 SMALL = VehicleSpec("small", 0.345, 37.77, 28.84)
 LONG = VehicleSpec("long", 0.853, 22.74, 52.89)
 LARGE = VehicleSpec("large", 0.475, 71.12, 71.12)
 
 
-def kin_record(vehicle, v_i, a, delta, pose=(1.0, 0.2, 0.1)):
-    return ManeuverRecord(vehicle, ManeuverInput(v_i, a, delta), FinalPose(*pose), "kinematic")
+def _one_row(vehicle, source, values):
+    """A one-row dataset of the ``ROW_COLUMNS`` values."""
+    columns = {name: np.array([v], dtype=float) for name, v in zip(ROW_COLUMNS, values)}
+    return Dataset([vehicle], np.zeros(1, dtype=np.intp), columns, source)
 
 
-def dyn_record(vehicle, mu, v_i, a, delta, pose=(1.0, 0.2, 0.1), g=9.81):
-    return ManeuverRecord(
-        vehicle, ManeuverInput(v_i, a, delta, mu=mu, g=g), FinalPose(*pose), "surrogate"
-    )
+def kin_row(vehicle, v_i, a, delta, pose=(1.0, 0.2, 0.1)):
+    return _one_row(vehicle, "kinematic", (v_i, a, delta, math.nan, 9.81, *pose))
 
 
-def features(scheme, r):
-    """Input vector of one record under a stateless scheme, via a one-row dataset."""
-    return make_pipeline(scheme).input_matrix(Dataset((r,))).values[0].tolist()
+def dyn_row(vehicle, mu, v_i, a, delta, pose=(1.0, 0.2, 0.1), g=9.81):
+    return _one_row(vehicle, "surrogate", (v_i, a, delta, mu, g, *pose))
+
+
+def features(scheme, d):
+    """Input vector of a one-row dataset under a stateless scheme."""
+    return make_pipeline(scheme).input_matrix(d).values[0].tolist()
 
 
 def test_baseline_vectors():
-    r = kin_record(SMALL, 1.0, -0.981, 0.0)
+    r = kin_row(SMALL, 1.0, -0.981, 0.0)
     assert features("baseline", r) == [1.0, -0.981, 0.0, 0.345]
-    d = dyn_record(LONG, 0.4, 2.0, -1.962, 0.3)
+    d = dyn_row(LONG, 0.4, 2.0, -1.962, 0.3)
     assert features("baseline", d) == [0.4, 2.0, 9.81, -1.962, 0.3, 22.74, 52.89, 0.853]
     assert len(features("baseline", r)) == 4
     assert len(features("baseline", d)) == 8
@@ -47,17 +51,17 @@ def test_baseline_vectors():
 
 def test_baseline_targets_are_raw_pose():
     pipe = make_pipeline("baseline")
-    ds = Dataset((kin_record(SMALL, 1.0, -1.0, 0.1, pose=(0.5, 0.05, 0.02)),))
+    ds = kin_row(SMALL, 1.0, -1.0, 0.1, pose=(0.5, 0.05, 0.02))
     y = pipe.target_matrix(ds)
     assert y.tolist() == [[0.5, 0.05, 0.02]]
 
 
 def test_pi_features_values():
-    r = kin_record(LONG, 2.0, -1.962, 0.3)
+    r = kin_row(LONG, 2.0, -1.962, 0.3)
     got = features("pi", r)
     assert got[0] == pytest.approx(-1.962 * 0.853 / 4.0, rel=1e-12)  # -0.4183965
     assert got[1] == 0.3
-    d = dyn_record(LARGE, 0.4, 2.0, -1.962, 0.3)
+    d = dyn_row(LARGE, 0.4, 2.0, -1.962, 0.3)
     vals = features("pi", d)
     assert vals == pytest.approx(
         [-1.962 * 0.475 / 4.0, 0.3, 1.0, 0.4, 9.81 * 0.475 / 4.0], rel=1e-12
@@ -66,7 +70,7 @@ def test_pi_features_values():
 
 def test_pi_targets_scaled_by_wheelbase():
     pipe = make_pipeline("pi")
-    ds = Dataset((kin_record(LONG, 2.0, -1.962, 0.3, pose=(0.0, 0.853, 0.1)),))
+    ds = kin_row(LONG, 2.0, -1.962, 0.3, pose=(0.0, 0.853, 0.1))
     y = pipe.target_matrix(ds)
     assert y[0, 0] == 0.0
     assert y[0, 1] == pytest.approx(1.0, rel=1e-12)
@@ -76,15 +80,15 @@ def test_pi_targets_scaled_by_wheelbase():
 def test_pi_similarity_equal_inputs_across_vehicles():
     a_small = -3.0
     a_long = a_small * SMALL.wheelbase_l / LONG.wheelbase_l
-    r1 = kin_record(SMALL, 2.0, a_small, 0.25)
-    r2 = kin_record(LONG, 2.0, a_long, 0.25)
+    r1 = kin_row(SMALL, 2.0, a_small, 0.25)
+    r2 = kin_row(LONG, 2.0, a_long, 0.25)
     assert features("pi", r1) == features("pi", r2)
 
 
 def test_pi_augmented_kinematic():
-    r = kin_record(SMALL, 2.0, -3.0, 0.0)
+    r = kin_row(SMALL, 2.0, -3.0, 0.0)
     assert features("pi-aug", r)[-1] == 0.0  # tan 0 = 0
-    r2 = kin_record(SMALL, 2.0, -3.0, 0.4)
+    r2 = kin_row(SMALL, 2.0, -3.0, 0.4)
     vecs = features("pi-aug", r2)
     # cross-check: pi6 * pi4 = tan(delta)
     assert vecs[-1] * vecs[0] == pytest.approx(math.tan(0.4), rel=1e-12)
@@ -92,7 +96,7 @@ def test_pi_augmented_kinematic():
 
 def test_pi_augmented_dynamic_ratios():
     # Nf = Nr on the large vehicle: ratio reduces to mu g / (2 |a|) * 2
-    d = dyn_record(LARGE, 0.4, 2.0, -2 * 0.981, 0.3)
+    d = dyn_row(LARGE, 0.4, 2.0, -2 * 0.981, 0.3)
     vals = features("pi-aug", d)
     longitudinal = vals[-2]
     assert longitudinal == pytest.approx(
@@ -104,35 +108,34 @@ def test_pi_augmented_dynamic_ratios():
 
 
 def test_pi_augmented_lateral_cap_at_zero_steering():
-    d = dyn_record(LARGE, 0.4, 2.0, -1.0, 0.0)
+    d = dyn_row(LARGE, 0.4, 2.0, -1.0, 0.0)
     assert features("pi-aug", d)[-1] == LATERAL_RATIO_CAP
-    tiny = dyn_record(LARGE, 1.4, 1.0, -1.0, 1e-9)
+    tiny = dyn_row(LARGE, 1.4, 1.0, -1.0, 1e-9)
     assert features("pi-aug", tiny)[-1] == LATERAL_RATIO_CAP
 
 
 def test_pi_augmented_rejects_zero_deceleration():
-    r = ManeuverRecord(SMALL, ManeuverInput(1.0, 0.0, 0.1), FinalPose(0, 0, 0), "kinematic")
     with pytest.raises(ValueError, match="deceleration must be negative"):
-        features("pi-aug", r)
+        features("pi-aug", kin_row(SMALL, 1.0, 0.0, 0.1, pose=(0, 0, 0)))
 
 
 def test_pi_fillers():
-    r = kin_record(SMALL, 2.0, -3.0, 0.25)
+    r = kin_row(SMALL, 2.0, -3.0, 0.25)
     vals = features("pi-fillers", r)
     assert len(vals) == 4
     assert vals[-2:] == [2.0, 0.345]
     assert vals[:-2] == features("pi", r)
     # fillers break the cross-vehicle coincidence
     a_long = -3.0 * SMALL.wheelbase_l / LONG.wheelbase_l
-    assert features("pi-fillers", kin_record(LONG, 2.0, a_long, 0.25)) != vals
+    assert features("pi-fillers", kin_row(LONG, 2.0, a_long, 0.25)) != vals
 
 
 def test_augmented_features():
-    r = kin_record(SMALL, 2.0, -3.0, 0.0)
+    r = kin_row(SMALL, 2.0, -3.0, 0.0)
     vals = features("augmented", r)
     assert vals[-1] == 0.0
     assert len(vals) == len(features("baseline", r)) + 1
-    r2 = kin_record(SMALL, 2.0, -3.0, 0.4)
+    r2 = kin_row(SMALL, 2.0, -3.0, 0.4)
     appended = features("augmented", r2)[-1]
     assert appended * SMALL.wheelbase_l / 2.0 == pytest.approx(math.tan(0.4), rel=1e-12)
 
@@ -184,7 +187,7 @@ def test_pca_validation_and_sign():
 
 
 def test_pipeline_fit_required_only_for_stateful():
-    ds = Dataset(tuple(kin_record(SMALL, 1.0 + i * 0.5, -1.0 - i, 0.1 * i) for i in range(6)))
+    ds = merge([kin_row(SMALL, 1.0 + i * 0.5, -1.0 - i, 0.1 * i) for i in range(6)])
     for scheme in ("baseline", "augmented", "pi", "pi-aug", "pi-fillers"):
         make_pipeline(scheme).input_matrix(ds)  # stateless: no fit needed
     with pytest.raises(RuntimeError, match="fit"):
@@ -200,27 +203,21 @@ def test_unknown_scheme_rejected():
         make_pipeline("autoencoder")
 
 
-def _rescaled(r: ManeuverRecord, lam: float, tau: float, mass: float) -> ManeuverRecord:
-    """The same physical experiment expressed in rescaled units."""
-    i, v, o = r.inputs, r.vehicle, r.outcome
+def _rescaled(d: Dataset, lam: float, tau: float, mass: float) -> Dataset:
+    """The same physical experiments expressed in rescaled units."""
+    (v,) = d.vehicles
     force = mass * lam / tau**2
     vehicle = VehicleSpec(v.name, v.wheelbase_l * lam, v.front_normal_Nf * force, v.rear_normal_Nr * force)
-    inputs = ManeuverInput(
-        v_i=i.v_i * lam / tau,
-        a=i.a * lam / tau**2,
-        delta=i.delta,
-        mu=i.mu,
-        g=i.g * lam / tau**2,
-    )
-    pose = FinalPose(o.X * lam, o.Y * lam, o.theta)
-    return ManeuverRecord(vehicle, inputs, pose, r.source)
+    scale = {"v_i": lam / tau, "a": lam / tau**2, "g": lam / tau**2, "X": lam, "Y": lam}
+    columns = {name: d.columns()[name] * scale.get(name, 1.0) for name in ROW_COLUMNS}
+    return Dataset([vehicle], d.vehicle_index, columns, d.source)
 
 
 @pytest.mark.parametrize("scheme", ["pi", "pi-aug", "pi-fillers"])
 def test_pi_schemes_unit_rescale_invariance(scheme):
     rng = np.random.default_rng(3)
     for _ in range(20):
-        r = dyn_record(
+        r = dyn_row(
             LONG,
             float(rng.uniform(0.1, 1.0)),
             float(rng.uniform(0.5, 4.0)),
@@ -237,7 +234,7 @@ def test_pi_schemes_unit_rescale_invariance(scheme):
 
 
 def test_inverse_targets():
-    ds = Dataset((kin_record(LARGE, 2.0, -3.0, 0.2),))
+    ds = kin_row(LARGE, 2.0, -3.0, 0.2)
     pi_pipe = make_pipeline("pi")
     out = pi_pipe.inverse_targets(np.array([[2.0, 1.0, 0.3]]), ds)
     np.testing.assert_allclose(out, [[0.95, 0.475, 0.3]], rtol=1e-12)
@@ -249,12 +246,7 @@ def test_inverse_targets():
 
 
 def test_inverse_round_trips_targets():
-    ds = Dataset(
-        tuple(
-            kin_record(LONG, 1.0 + i, -2.0, 0.1, pose=(0.3 * i, 0.1 * i, 0.05 * i))
-            for i in range(1, 5)
-        )
-    )
+    ds = merge([kin_row(LONG, 1.0 + i, -2.0, 0.1, pose=(0.3 * i, 0.1 * i, 0.05 * i)) for i in range(1, 5)])
     pipe = make_pipeline("pi")
     y = pipe.target_matrix(ds)
     np.testing.assert_allclose(
@@ -274,7 +266,8 @@ def test_features_match_dimension_engine():
 
     m = build_dimension_matrix(dynamic_variables())
     basis = repeated_vars_pi_basis(m, ["l", "v_i", "N_f"])
-    r = dyn_record(LONG, 0.4, 2.5, -3.3, 0.2, pose=(1.1, 0.4, 0.3))
+    ds = dyn_row(LONG, 0.4, 2.5, -3.3, 0.2, pose=(1.1, 0.4, 0.3))
+    (r,) = ds
     row = {
         "X": r.outcome.X,
         "Y": r.outcome.Y,
@@ -288,7 +281,7 @@ def test_features_match_dimension_engine():
         "N_r": r.vehicle.rear_normal_Nr,
         "l": r.vehicle.wheelbase_l,
     }
-    vals = features("pi", r)
+    vals = features("pi", ds)
     assert vals[0] == pytest.approx(basis.group_for("a").evaluate(row), rel=1e-12)
     assert vals[1] == pytest.approx(basis.group_for("delta").evaluate(row), rel=1e-12)
     # engine emits the axle ratio as N_r/N_f; the feature uses the reciprocal
@@ -296,7 +289,6 @@ def test_features_match_dimension_engine():
     assert vals[3] == pytest.approx(basis.group_for("mu").evaluate(row), rel=1e-12)
     assert vals[4] == pytest.approx(basis.group_for("g").evaluate(row), rel=1e-12)
     pipe = make_pipeline("pi")
-    ds = Dataset((r,))
     y = pipe.target_matrix(ds)[0]
     assert y[0] == pytest.approx(basis.group_for("X").evaluate(row), rel=1e-12)
     assert y[1] == pytest.approx(basis.group_for("Y").evaluate(row), rel=1e-12)

@@ -252,8 +252,44 @@ def test_node_walk_of_a_depth_40_chain_tree():
     assert peak < 2**20
 
 
-@pytest.mark.parametrize("tree", [_chain_tree(7), RegressionTree([0], [0.5], [0], [0], [0.0])], ids=["deep", "cycle"])
-def test_a_tree_deeper_than_its_config_raises(tree):
-    e = Ensemble(0.0, [tree], GbtConfig(max_depth=6), n_features=1)
-    with pytest.raises(ValueError, match="deeper than its max_depth=6"):
-        e.predict(np.array([[0.0], [100.0]]))
+@pytest.mark.parametrize(
+    "tree, message",
+    [
+        (_chain_tree(7), "deeper than its max_depth=6"),
+        # a self-looping split is refused when the ensemble is built, before any walk
+        (RegressionTree([0], [0.5], [0], [0], [0.0]), r"tree 0: split node 0 .* children in \(0, 1\)"),
+    ],
+    ids=["deep", "cycle"],
+)
+def test_a_tree_deeper_than_its_config_raises(tree, message):
+    with pytest.raises(ValueError, match=message):
+        Ensemble(0.0, [tree], GbtConfig(max_depth=6), n_features=1).predict(np.array([[0.0], [100.0]]))
+
+
+LEAF_7 = RegressionTree([-1], [0.0], [-1], [-1], [7.0])
+# the root sends x < 0.5 to node -1, which a chunk walk reads as the previous tree's last node
+LEFT_OUTSIDE = RegressionTree([0, -1, -1], [0.5, 0, 0], [-1, -1, -1], [2, -1, -1], [0, 1, 2])
+# node 1 splits on feature 1 of a one-feature input, which a flat walk reads from the next row
+FEATURE_1 = RegressionTree(
+    [0, 1, -1, -1, -1], [0.5, 2.0, 0, 0, 0], [1, 2, -1, -1, -1], [4, 3, -1, -1, -1], [0, 0, 20, 40, 30]
+)
+INVALID_TREES = {
+    "child-outside-its-tree": ([LEAF_7, LEFT_OUTSIDE], r"tree 1: split node 0 .* children in \(0, 3\)"),
+    "feature-out-of-range": ([FEATURE_1], "tree 0: split node 1 has feature 1 .* needs a feature below 1"),
+    "ragged-arrays": ([RegressionTree([-1, -1], [0.0], [-1, -1], [-1, -1], [1.0, 2.0])], "tree 0: its node arrays"),
+    "no-node": ([LEAF_7, RegressionTree([], [], [], [], [])], "tree 1: its node arrays"),
+}
+
+
+@pytest.mark.parametrize("trees, message", INVALID_TREES.values(), ids=INVALID_TREES)
+def test_an_ensemble_with_an_invalid_tree_is_rejected(tmp_path, trees, message):
+    cfg = GbtConfig(learning_rate=1.0)
+    with pytest.raises(ValueError, match=message):
+        Ensemble(0.0, trees, cfg, n_features=1)
+    # the same trees written into a saved model file by hand fail to load
+    path = save_ensembles(Ensemble(0.0, [], cfg, n_features=1), tmp_path / "model.json")
+    doc = json.loads(path.read_text())
+    doc["ensembles"][0]["trees"] = [t.to_dict() for t in trees]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"model\.json: " + message):
+        load_ensembles(path)

@@ -13,8 +13,8 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from pibrake import gbt  # noqa: E402
 from pibrake.dataset import (  # noqa: E402
     FLOAT_COLUMNS,
+    ROW_COLUMNS,
     Dataset,
-    ManeuverRecord,
     kinematic_grid,
     load_csv,
     merge,
@@ -55,7 +55,10 @@ def test_csv_write_load_write_is_byte_identical(vehicle, source, seed):
         loaded = load_csv(first)
         second = save_csv(loaded, Path(tmp) / "two.csv")
         assert first.read_bytes() == second.read_bytes()
-    assert loaded.records == ds.records
+    assert loaded.vehicles == ds.vehicles and loaded.source == ds.source
+    assert np.array_equal(loaded.vehicle_index, ds.vehicle_index)
+    for name in FLOAT_COLUMNS:
+        assert np.array_equal(loaded.columns()[name], ds.columns()[name], equal_nan=True)
 
 
 @FEW
@@ -75,7 +78,9 @@ def test_split_is_disjoint_exhaustive_partition(vehicle, fraction, seed):
 def test_merge_keeps_row_order(parts_vehicles, seed):
     parts = [split(grid(v, "kinematic", seed), 0.5, seed + i)[0] for i, v in enumerate(parts_vehicles)]
     merged = merge(parts)
-    assert merged.records == tuple(r for p in parts for r in p.records)
+    row_vehicles = [p.vehicles[k] for p in parts for k in p.vehicle_index]
+    assert [merged.vehicles[k] for k in merged.vehicle_index] == row_vehicles
+    assert merged.source == "kinematic"
     for name in FLOAT_COLUMNS:
         want = np.concatenate([p.columns()[name] for p in parts])
         np.testing.assert_array_equal(merged.columns()[name], want)
@@ -147,15 +152,19 @@ def test_repeated_vars_basis_contract(dims, order, size):
 )
 def test_pi_similarity(l_one, l_two, v_i, decel, delta):
     # equal a l / v_i^2 and delta on two wheelbases: equal pi inputs and pi outcomes
-    records = []
+    rows = []
     for l, a in ((l_one, -decel), (l_two, -decel * l_one / l_two)):
         vehicle = VehicleSpec(f"l={l}", l, 30.0, 30.0)
         inputs = ManeuverInput(v_i, a, delta)
-        records.append(ManeuverRecord(vehicle, inputs, simulate_kinematic(vehicle, inputs), "kinematic"))
+        pose = simulate_kinematic(vehicle, inputs)
+        values = (v_i, a, delta, np.nan, inputs.g, pose.X, pose.Y, pose.theta)
+        columns = {name: np.array([value]) for name, value in zip(ROW_COLUMNS, values)}
+        rows.append(Dataset([vehicle], np.zeros(1, dtype=np.intp), columns, "kinematic"))
+    both = merge(rows)
     pipe = make_pipeline("pi")
-    x = pipe.input_matrix(Dataset(records)).values
+    x = pipe.input_matrix(both).values
     np.testing.assert_allclose(x[1], x[0], rtol=1e-12)
-    y = pipe.target_matrix(Dataset(records))
+    y = pipe.target_matrix(both)
     np.testing.assert_allclose(y[1], y[0], rtol=0, atol=1e-6)
 
 
