@@ -22,7 +22,6 @@ from .dimensions import (
     nullspace_pi_basis,
     parse_dimension,
     repeated_vars_pi_basis,
-    transform_row,
 )
 from .experiments import (
     ExperimentReport,

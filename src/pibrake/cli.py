@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from .config import RunConfig, _floats, load_run_config, load_vehicles
+from .config import SETTINGS, RunConfig, load_run_config, load_vehicles
 from .dataset import Dataset, generate, load_csv, save_csv
 from .dimensions import (
     DEFAULT_REPEATED,
@@ -36,7 +35,6 @@ from .experiments import (
     learning_curve,
     run_matrix,
 )
-from .features import SCHEME_NAMES
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,80 +44,52 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="config file (flat key = value sections)")
-    p.add_argument("--vehicles", help="file holding only a [vehicles] section: name = l, Nf, Nr")
-    p.add_argument("--seed", type=int, help="run seed (splits, surrogate noise)")
-    p.add_argument("--out", help="output directory (default: reports)")
-
-
-def _add_gbt(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rounds", type=int, help="boosting rounds")
-    p.add_argument("--depth", type=int, help="tree depth limit")
-    p.add_argument("--lr", type=float, help="learning rate")
+# the settings each subcommand takes, as --key flags (config.SETTINGS defines them)
+_STUDY = ("seed", "out", "rounds", "depth", "lr", "source")
+COMMAND_SETTINGS = {
+    "gen": ("seed", "out", "source"),
+    "pi": (),
+    "matrix": (*_STUDY, "scheme"),
+    "curve": (*_STUDY, "scheme", "fractions", "repeats"),
+    "compare": (*_STUDY, "target", "output"),
+}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="pibrake", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    helps = {"gen": "generate per-vehicle datasets", "pi": "print a dimensionless-group basis"}
+    funcs = {"gen": cmd_gen, "pi": cmd_pi, "matrix": cmd_matrix, "curve": cmd_curve, "compare": cmd_compare}
+    subs = {}
+    for name, keys in COMMAND_SETTINGS.items():
+        p = subs[name] = sub.add_parser(name, help=helps.get(name, f"run the {name} experiment"))
+        p.add_argument("--config", help="config file (flat key = value sections)")
+        if keys:  # every command with settings runs on the vehicle registry
+            p.add_argument("--vehicles", help="file holding only a [vehicles] section: name = l, Nf, Nr")
+        for key in keys:
+            s = SETTINGS[key]
+            p.add_argument(f"--{key}", type=s.parse, choices=s.choices, help=s.help)
+        p.set_defaults(func=funcs[name], settings=keys)
 
-    p_gen = sub.add_parser("gen", help="generate per-vehicle datasets")
-    _add_common(p_gen)
-    p_gen.add_argument("--source", choices=("kinematic", "surrogate"), default="kinematic")
-    p_gen.set_defaults(func=cmd_gen)
-
-    p_pi = sub.add_parser("pi", help="print a dimensionless-group basis")
-    _add_common(p_pi)
-    p_pi.add_argument("--set", dest="var_set", default="kinematic",
-                      help="kinematic | dynamic | custom (custom needs a [variables] config section)")
-    p_pi.add_argument("--repeated", help="comma-separated repeated variables, e.g. l,v_i")
-    p_pi.add_argument("--method", choices=("repeated", "nullspace"), default="repeated")
-    p_pi.set_defaults(func=cmd_pi)
-
-    for name, func in (("matrix", cmd_matrix), ("curve", cmd_curve), ("compare", cmd_compare)):
-        p = sub.add_parser(name, help=f"run the {name} experiment")
-        _add_common(p)
-        _add_gbt(p)
-        p.add_argument("--source", choices=("kinematic", "surrogate"))
-        p.add_argument("--gen", action="store_true", help="generate missing or stale datasets first")
-        if name == "matrix":
-            p.add_argument("--scheme", choices=SCHEME_NAMES)
-        if name == "curve":
-            p.add_argument("--scheme", choices=SCHEME_NAMES)
-            p.add_argument("--vehicle", help="vehicle whose self-prediction curve to compute")
-            p.add_argument("--fractions", type=_floats, help="comma-separated training fractions")
-            p.add_argument("--repeats", type=int)
-        if name == "compare":
-            p.add_argument("--target", help="target vehicle (default large)")
-            p.add_argument("--output", choices=("X", "Y", "theta"), help="target output (default Y)")
-        p.set_defaults(func=func)
+    subs["pi"].add_argument("--set", dest="var_set", default="kinematic",
+                            help="kinematic | dynamic | custom (custom needs a [variables] config section)")
+    subs["pi"].add_argument("--repeated", help="comma-separated repeated variables, e.g. l,v_i")
+    subs["pi"].add_argument("--method", choices=("repeated", "nullspace"), default="repeated")
+    for name in ("matrix", "curve", "compare"):
+        subs[name].add_argument("--gen", action="store_true", help="generate missing or stale datasets first")
+    subs["curve"].add_argument("--vehicle", help="vehicle whose self-prediction curve to compute")
     return parser
 
 
 def _resolve_config(args) -> RunConfig:
+    """The --config file, then the --vehicles file, then each setting flag given."""
     cfg = load_run_config(args.config)
     if args.vehicles is not None:
         cfg.vehicles = load_vehicles(args.vehicles)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.out_dir = Path(args.out)
-    if getattr(args, "source", None) is not None:
-        cfg.source = args.source
-    if getattr(args, "scheme", None) is not None:
-        cfg.scheme = args.scheme
-    for attr, field_name in (("rounds", "n_rounds"), ("depth", "max_depth"), ("lr", "learning_rate")):
-        v = getattr(args, attr, None)
-        if v is not None:
-            cfg.gbt = replace(cfg.gbt, **{field_name: v})
-    if getattr(args, "fractions", None) is not None:
-        cfg.fractions = args.fractions
-    if getattr(args, "repeats", None) is not None:
-        cfg.repeats = args.repeats
-    if getattr(args, "target", None) is not None:
-        cfg.target_vehicle = args.target
-    if getattr(args, "output", None) is not None:
-        cfg.target_output = args.output
+    for key in args.settings:
+        value = getattr(args, key)
+        if value is not None:
+            SETTINGS[key].assign(cfg, value)
     return cfg
 
 
@@ -167,7 +137,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_pi(args) -> int:
-    cfg = _resolve_config(args)
+    cfg = load_run_config(args.config)
     if args.var_set in VARIABLE_SETS:
         variables = VARIABLE_SETS[args.var_set]()
         default_repeated = DEFAULT_REPEATED[args.var_set]

@@ -24,10 +24,10 @@ Config files are flat ``key = value`` INI sections::
     v_i = 0.1, 5.0, 50
 
 Every key has a built-in default, so an empty (or absent) file is a valid
-configuration.  CLI flags override file values.  ``[gbt]`` holds the four
-learner settings and nothing else: the learner draws no random numbers, and
-the ``[run]`` seed drives the train/test splits, the learning-curve subsets
-and the surrogate noise.
+configuration.  A setting's ``--key`` flag overrides the file only when it is
+given.  ``[gbt]`` holds the four learner settings and nothing else: the
+learner draws no random numbers, and the ``[run]`` seed drives the train/test
+splits, the learning-curve subsets and the surrogate noise.
 """
 
 from __future__ import annotations
@@ -35,9 +35,11 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 from .dataset import DEFAULT_VEHICLES, KINEMATIC_GRID, SOURCES, SURROGATE_GRID
 from .dimensions import VariableDecl, variables_from_config
+from .experiments import OUTPUT_COLUMNS
 from .features import SCHEME_NAMES
 from .gbt import GbtConfig
 from .simulator import DELTA_LIMIT, MU_MAX, VehicleSpec
@@ -69,8 +71,17 @@ class RunConfig:
         return self.kinematic_grid if source == "kinematic" else self.surrogate_grid
 
 
-def _floats(text: str) -> tuple[float, ...]:
+def floats(text: str) -> tuple[float, ...]:
+    """Comma- or space-separated floats."""
     return tuple(float(t) for t in text.replace(",", " ").split())
+
+
+def natural(text: str) -> int:
+    """A whole number >= 0."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"must be >= 0, got {value}")
+    return value
 
 
 def _axis_triplet(text: str) -> tuple[float, float, int]:
@@ -83,7 +94,7 @@ def _axis_triplet(text: str) -> tuple[float, float, int]:
 
 
 def _axis_values(text: str) -> tuple[float, ...]:
-    vals = _floats(text)
+    vals = floats(text)
     if not vals:
         raise ValueError("grid axis needs at least one value")
     return vals
@@ -112,24 +123,45 @@ def _grid_axis(source: str, key: str, text: str) -> tuple:
     return axis
 
 
-# [section] key -> (field, value parser): GbtConfig fields for [gbt],
-# RunConfig fields for the other sections
-_FIELDS = {
-    "run": {
-        "source": ("source", str), "scheme": ("scheme", str), "seed": ("seed", int), "out": ("out_dir", Path),
-    },
-    "gbt": {
-        "rounds": ("n_rounds", int), "lr": ("learning_rate", float), "depth": ("max_depth", int),
-        "min_samples_leaf": ("min_samples_leaf", int),
-    },
-    "curve": {"fractions": ("fractions", _floats), "repeats": ("repeats", int)},
-    "compare": {"target": ("target_vehicle", str), "output": ("target_output", str)},
+class Setting(NamedTuple):
+    """One ``[section] key`` setting, read from a config file or given as a ``--key`` flag."""
+
+    section: str
+    attr: str  # the GbtConfig field for [gbt], the RunConfig field otherwise
+    parse: Callable[[str], Any]
+    choices: tuple | None = None  # the allowed values, where they are fixed
+    help: str | None = None
+
+    def assign(self, cfg: RunConfig, value: Any) -> None:
+        """Check a parsed value and store it in ``cfg``; a bad value raises ``ValueError``."""
+        if self.choices is not None and value not in self.choices:
+            raise ValueError(f"{value!r} is not one of {self.choices}")
+        if self.section == "gbt":
+            cfg.gbt = replace(cfg.gbt, **{self.attr: value})  # GbtConfig checks the value
+        else:
+            setattr(cfg, self.attr, value)
+
+
+# key -> setting; a key names one setting across all sections, as it is also its flag
+SETTINGS = {
+    "source": Setting("run", "source", str, SOURCES),
+    "scheme": Setting("run", "scheme", str, SCHEME_NAMES),
+    "seed": Setting("run", "seed", natural, help="run seed (splits, surrogate noise)"),
+    "out": Setting("run", "out_dir", Path, help="output directory (default: reports)"),
+    "rounds": Setting("gbt", "n_rounds", int, help="boosting rounds"),
+    "lr": Setting("gbt", "learning_rate", float, help="learning rate"),
+    "depth": Setting("gbt", "max_depth", int, help="tree depth limit"),
+    "min_samples_leaf": Setting("gbt", "min_samples_leaf", int),
+    "fractions": Setting("curve", "fractions", floats, help="comma-separated training fractions"),
+    "repeats": Setting("curve", "repeats", int),
+    "target": Setting("compare", "target_vehicle", str, help="target vehicle (default large)"),
+    "output": Setting("compare", "target_output", str, tuple(OUTPUT_COLUMNS), "target output (default Y)"),
 }
 
 # the keys each section accepts; None marks free-form names
 SECTION_KEYS = {
-    **_FIELDS, "grid.kinematic": KINEMATIC_GRID, "grid.surrogate": SURROGATE_GRID,
-    "vehicles": None, "variables": None,
+    **{s.section: tuple(k for k, t in SETTINGS.items() if t.section == s.section) for s in SETTINGS.values()},
+    "grid.kinematic": KINEMATIC_GRID, "grid.surrogate": SURROGATE_GRID, "vehicles": None, "variables": None,
 }
 
 
@@ -140,7 +172,7 @@ def parse_vehicles(section: dict[str, str], where: str) -> dict[str, VehicleSpec
     out = {}
     for name, text in section.items():
         try:
-            vals = _floats(text)
+            vals = floats(text)
             if len(vals) != 3:
                 raise ValueError(f"needs 'l, Nf, Nr', got {text!r}")
             out[name] = VehicleSpec(name, *vals)
@@ -175,25 +207,21 @@ def _set(cfg: RunConfig, section: str, key: str, text: str) -> None:
     """Parse one value of any section but ``[vehicles]`` into ``cfg``; a bad value raises ``ValueError``."""
     if section == "variables":
         cfg.variables += variables_from_config({key: text})
-        return
-    if section.startswith("grid."):
+    elif section.startswith("grid."):
         source = section.removeprefix("grid.")
         cfg.grid_for(source)[key] = _grid_axis(source, key, text)
-        return
-    name, parse = _FIELDS[section][key]
-    if section == "gbt":
-        cfg.gbt = replace(cfg.gbt, **{name: parse(text)})  # GbtConfig checks the value
     else:
-        setattr(cfg, name, parse(text))
+        setting = SETTINGS[key]
+        setting.assign(cfg, setting.parse(text))
 
 
 def load_run_config(path: str | Path | None = None) -> RunConfig:
     """Read a config file into a RunConfig; missing keys keep their defaults.
 
     Unknown sections or keys, values that do not parse or lie outside the
-    range the simulator or ``GbtConfig`` accepts, an empty ``[vehicles]``
-    section, and a ``source`` or ``scheme`` the package does not implement
-    raise ``ValueError`` naming the file and the key.
+    range the simulator or ``GbtConfig`` accepts (or, for a setting with
+    fixed choices, outside them), and an empty ``[vehicles]`` section raise
+    ``ValueError`` naming the file and the key.
     """
     cfg = RunConfig()
     if path is None:
@@ -214,9 +242,6 @@ def load_run_config(path: str | Path | None = None) -> RunConfig:
                 _set(cfg, section, key, text)
             except ValueError as e:
                 raise ValueError(f"config {path}: [{section}] {key}: {e}") from None
-    for key, value, choices in (("source", cfg.source, SOURCES), ("scheme", cfg.scheme, SCHEME_NAMES)):
-        if value not in choices:
-            raise ValueError(f"config {path}: [run] {key} = {value!r} is not one of {choices}")
     if parser.has_section("vehicles"):
         cfg.vehicles = parse_vehicles(dict(parser["vehicles"]), f"config {path}")
     return cfg

@@ -197,10 +197,6 @@ class PiGroup:
     def reciprocal(self) -> "PiGroup":
         return PiGroup(self.variables, tuple(-e for e in self.exponents))
 
-    def same_ray(self, other: "PiGroup") -> bool:
-        """True when the groups are equal up to canonical sign (reciprocal)."""
-        return other.exponents in (self.exponents, self.reciprocal().exponents)
-
 
 @dataclass(frozen=True)
 class PiBasis:
@@ -327,11 +323,6 @@ def repeated_vars_pi_basis(
         PiGroup(matrix.variables, tuple(e[position[v.name]] for v in matrix.variables)) for e in vectors
     )
     return PiBasis(matrix, groups, tuple(rep))
-
-
-def transform_row(basis: PiBasis, row: Mapping[str, Value]) -> dict[str, Value]:
-    """Evaluate every pi group on one row of physical values, keyed by label."""
-    return {g.label: g.evaluate(row) for g in basis.groups}
 
 
 def inverse_transform_outputs(

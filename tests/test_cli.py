@@ -1,6 +1,8 @@
+from pathlib import Path
+
 import pytest
 
-from pibrake.cli import main
+from pibrake.cli import _resolve_config, build_parser, main
 from pibrake.dataset import load_csv
 
 TINY_CONF = """
@@ -282,8 +284,64 @@ def test_curve_fractions_that_do_not_parse_are_a_usage_error(conf, tmp_path, cap
     out = tmp_path / "reports"
     assert run("curve", "--config", conf, "--out", out, "--vehicle", "small", "--fractions", "0.5,abc") == 1
     err = capsys.readouterr().err
-    assert "--fractions" in err and "'0.5,abc'" in err
+    assert "argument --fractions: invalid floats value: '0.5,abc'" in err
     assert not out.exists()
+
+
+def test_negative_seed_flag_is_a_usage_error(conf, tmp_path, capsys):
+    out = tmp_path / "reports"
+    for source in ("kinematic", "surrogate"):
+        assert run("gen", "--config", conf, "--source", source, "--seed", -1, "--out", out) == 1
+        assert "argument --seed: invalid natural value: '-1'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_takes_its_source_from_the_config(tmp_path, capsys):
+    conf = tmp_path / "tiny.conf"
+    conf.write_text(TINY_CONF.replace("source = kinematic", "source = surrogate"))
+    out = tmp_path / "reports"
+    assert run("gen", "--config", conf, "--out", out) == 0
+    assert sorted(p.name for p in (out / "data" / "surrogate").iterdir()) == ["large.csv", "small.csv"]
+    assert not (out / "data" / "kinematic").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--seed", 3), ("--out", "elsewhere"), ("--vehicles", "veh.conf")])
+def test_pi_takes_no_run_settings(capsys, flag, value):
+    assert run("pi", "--set", "kinematic", flag, value) == 1
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+# flag -> (config file text, flag value, the RunConfig value read back, its value from the file, from the flag)
+OVERRIDES = {
+    "seed": ("[run]\nseed = 5", "6", lambda c: c.seed, 5, 6),
+    "out": ("[run]\nout = a", "b", lambda c: c.out_dir, Path("a"), Path("b")),
+    "source": ("[run]\nsource = surrogate", "kinematic", lambda c: c.source, "surrogate", "kinematic"),
+    "scheme": ("[run]\nscheme = pca2", "pi-aug", lambda c: c.scheme, "pca2", "pi-aug"),
+    "rounds": ("[gbt]\nrounds = 7", "8", lambda c: c.gbt.n_rounds, 7, 8),
+    "depth": ("[gbt]\ndepth = 2", "4", lambda c: c.gbt.max_depth, 2, 4),
+    "lr": ("[gbt]\nlr = 0.2", "0.3", lambda c: c.gbt.learning_rate, 0.2, 0.3),
+    "fractions": ("[curve]\nfractions = 0.5, 1.0", "0.25", lambda c: c.fractions, (0.5, 1.0), (0.25,)),
+    "repeats": ("[curve]\nrepeats = 2", "3", lambda c: c.repeats, 2, 3),
+    "target": ("[compare]\ntarget = small", "long", lambda c: c.target_vehicle, "small", "long"),
+    "output": ("[compare]\noutput = X", "theta", lambda c: c.target_output, "X", "theta"),
+}
+STUDY_FLAGS = ("seed", "out", "rounds", "depth", "lr", "source")
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("gen", f) for f in ("seed", "out", "source")]
+    + [("matrix", f) for f in (*STUDY_FLAGS, "scheme")]
+    + [("curve", f) for f in (*STUDY_FLAGS, "scheme", "fractions", "repeats")]
+    + [("compare", f) for f in (*STUDY_FLAGS, "target", "output")],
+)
+def test_a_setting_flag_overrides_the_file_only_when_given(tmp_path, command, flag):
+    text, given, read, from_file, from_flag = OVERRIDES[flag]
+    conf = tmp_path / "run.conf"
+    conf.write_text(text + "\n")
+    argv = [command, "--config", str(conf)]
+    assert read(_resolve_config(build_parser().parse_args(argv))) == from_file
+    assert read(_resolve_config(build_parser().parse_args([*argv, f"--{flag}", given]))) == from_flag
 
 
 STRETCHED = "[vehicles]\nsmall = 0.5, 37.77, 28.84\nlarge = 0.475, 71.12, 71.12\n"

@@ -110,6 +110,8 @@ def test_bad_vehicle_line(tmp_path):
         ("[vehicles]\n", ["[vehicles] lists no vehicle"]),
         ("[variables]\nN_f = M Q\n", ["[variables] N_f", "unknown base dimension 'Q'"]),
         ("[variables]\nx = L^y\n", ["[variables] x", "'y'"]),
+        ("[run]\nseed = -1\n", ["[run] seed", "must be >= 0, got -1"]),
+        ("[compare]\noutput = Z\n", ["[compare] output", "'Z'", "('X', 'Y', 'theta')"]),
     ],
 )
 def test_unknown_or_invalid_entries_rejected(tmp_path, text, names):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from pibrake import simulator
+from pibrake.dataset import DEFAULT_VEHICLES, generate
 from pibrake.simulator import (
     FinalPose,
     ManeuverInput,
@@ -235,6 +236,19 @@ def test_surrogate_batch_matches_scalar():
         m = ManeuverInput(float(v[i]), float(a[i]), float(d[i]), mu=float(mu[i]))
         p = simulate_dynamic_surrogate(LARGE, m, record_noise_seed(11, LARGE.name, i))
         assert (p.X, p.Y, p.theta) == (X[i], Y[i], TH[i])
+
+
+def test_generated_surrogate_rows_match_scalar():
+    # the path `generate` runs: all vehicles in one lockstep batch, then saturation and noise
+    grid = {"mu": (0.2, 0.9), "v_i": (1.0, 3.5, 2), "a_g": (0.2, 1.0, 3), "delta": (0.0, 0.7854)}
+    datasets = generate(DEFAULT_VEHICLES.values(), "surrogate", seed=5, grid=grid)
+    for v in DEFAULT_VEHICLES.values():
+        c = datasets[v.name].columns()
+        assert len(c["v_i"]) == 24
+        for i in range(24):
+            m = ManeuverInput(float(c["v_i"][i]), float(c["a"][i]), float(c["delta"][i]), mu=float(c["mu"][i]))
+            p = simulate_dynamic_surrogate(v, m, record_noise_seed(5, v.name, i))
+            assert (p.X, p.Y, p.theta) == (c["X"][i], c["Y"][i], c["theta"][i])
 
 
 def test_step_budget_rejects_endless_maneuver():
