@@ -69,7 +69,7 @@ def build_parser() -> _Parser:
         for key in keys:
             s = SETTINGS[key]
             p.add_argument(f"--{key}", type=s.parse, choices=s.choices, help=s.help)
-        p.set_defaults(func=funcs[name], settings=keys)
+        p.set_defaults(func=funcs[name], settings=keys, parser=p)
 
     subs["pi"].add_argument("--set", dest="var_set", default="kinematic",
                             help="kinematic | dynamic | custom (custom needs a [variables] config section)")
@@ -82,14 +82,18 @@ def build_parser() -> _Parser:
 
 
 def _resolve_config(args) -> RunConfig:
-    """The --config file, then the --vehicles file, then each setting flag given."""
+    """The --config file, then the --vehicles file, then each setting flag
+    given; a flag value that fails its checks is a usage error."""
     cfg = load_run_config(args.config)
     if args.vehicles is not None:
         cfg.vehicles = load_vehicles(args.vehicles)
     for key in args.settings:
         value = getattr(args, key)
         if value is not None:
-            SETTINGS[key].assign(cfg, value)
+            try:
+                SETTINGS[key].assign(cfg, value)
+            except ValueError as e:
+                args.parser.error(f"argument --{key}: {e}")
     return cfg
 
 
@@ -220,10 +224,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as e:
-        return int(e.code or 0)
-    try:
         return args.func(args)
+    except SystemExit as e:  # --help, or a usage error
+        return int(e.code or 0)
     except Exception as e:  # runtime failures exit 2, per contract
         print(f"pibrake: error: {e}", file=sys.stderr)
         return 2

@@ -39,7 +39,7 @@ from typing import Any, Callable, NamedTuple
 
 from .dataset import DEFAULT_VEHICLES, KINEMATIC_GRID, SOURCES, SURROGATE_GRID
 from .dimensions import VariableDecl, variables_from_config
-from .experiments import OUTPUT_COLUMNS
+from .experiments import OUTPUT_COLUMNS, check_curve
 from .features import SCHEME_NAMES
 from .gbt import GbtConfig
 from .simulator import DELTA_LIMIT, MU_MAX, VehicleSpec
@@ -136,6 +136,8 @@ class Setting(NamedTuple):
         """Check a parsed value and store it in ``cfg``; a bad value raises ``ValueError``."""
         if self.choices is not None and value not in self.choices:
             raise ValueError(f"{value!r} is not one of {self.choices}")
+        if self.section == "curve":  # the checks learning_curve makes, run as the value is read
+            check_curve(**{"fractions": cfg.fractions, "repeats": cfg.repeats, self.attr: value})
         if self.section == "gbt":
             cfg.gbt = replace(cfg.gbt, **{self.attr: value})  # GbtConfig checks the value
         else:
@@ -219,9 +221,9 @@ def load_run_config(path: str | Path | None = None) -> RunConfig:
     """Read a config file into a RunConfig; missing keys keep their defaults.
 
     Unknown sections or keys, values that do not parse or lie outside the
-    range the simulator or ``GbtConfig`` accepts (or, for a setting with
-    fixed choices, outside them), and an empty ``[vehicles]`` section raise
-    ``ValueError`` naming the file and the key.
+    range the simulator, ``GbtConfig`` or the learning curve accepts (or,
+    for a setting with fixed choices, outside them), and an empty
+    ``[vehicles]`` section raise ``ValueError`` naming the file and the key.
     """
     cfg = RunConfig()
     if path is None:

@@ -121,10 +121,6 @@ class DimensionMatrix:
     variables: tuple[VariableDecl, ...]
 
     @property
-    def columns(self) -> list[tuple[Fraction, Fraction, Fraction]]:
-        return [v.dimension.exponents() for v in self.variables]
-
-    @property
     def rank(self) -> int:
         pivots, _ = _nullspace(self.variables)
         return len(pivots)

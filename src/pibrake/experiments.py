@@ -198,6 +198,16 @@ class CurvePoint:
     mae_theta: float
 
 
+def check_curve(fractions: Sequence[float], repeats: int) -> None:
+    """Raise ``ValueError`` unless repeats >= 1 and fractions holds values in (0, 1], at least one."""
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
+    if not fractions:
+        raise ValueError("fractions must not be empty")
+    if any(not 0.0 < f <= 1.0 for f in fractions):
+        raise ValueError("fractions must lie in (0, 1]")
+
+
 def learning_curve(
     datasets: Mapping[str, Dataset],
     scheme: str,
@@ -214,12 +224,7 @@ def learning_curve(
     uses the whole training split, matching the matrix run's self cell, so
     one fit serves them all.
     """
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    if not fractions:
-        raise ValueError("fractions must not be empty")
-    if any(not 0.0 < f <= 1.0 for f in fractions):
-        raise ValueError("fractions must lie in (0, 1]")
+    check_curve(fractions, repeats)
     _require_vehicle(datasets, vehicle, "vehicle")
     train, test = split(datasets[vehicle], TRAIN_FRACTION, seed)
     actual = _actual_pose(test)

@@ -169,7 +169,6 @@ class PcaTransform:
         self.mean: np.ndarray | None = None
         self.scale: np.ndarray | None = None
         self.components: np.ndarray | None = None  # (p, k)
-        self.explained_variance_ratio: np.ndarray | None = None
 
     def fit(self, train: FeatureMatrix) -> "PcaTransform":
         x = train.values
@@ -186,13 +185,11 @@ class PcaTransform:
         cov = z.T @ z / (n - 1)
         eigval, eigvec = np.linalg.eigh(cov)
         order = np.argsort(eigval)[::-1]
-        eigval, eigvec = eigval[order], eigvec[:, order]
+        eigvec = eigvec[:, order]
         for j in range(p):
             lead = np.argmax(np.abs(eigvec[:, j]))
             if eigvec[lead, j] < 0:
                 eigvec[:, j] = -eigvec[:, j]
-        total = eigval.sum()
-        self.explained_variance_ratio = eigval[: self.k] / (total if total > 0 else 1.0)
         self.components = eigvec[:, : self.k]
         return self
 

@@ -17,9 +17,7 @@ training row.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, fields
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,27 +59,6 @@ class RegressionTree:
         self.left = np.asarray(left, dtype=np.int32)
         self.right = np.asarray(right, dtype=np.int32)
         self.value = np.asarray(value, dtype=float)
-
-    @property
-    def n_leaves(self) -> int:
-        return int(np.sum(self.feature < 0))
-
-    @property
-    def n_splits(self) -> int:
-        return int(np.sum(self.feature >= 0))
-
-    def to_dict(self) -> dict:
-        return {
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "value": self.value.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RegressionTree":
-        return cls(d["feature"], d["threshold"], d["left"], d["right"], d["value"])
 
 
 def _best_split(x: np.ndarray, resid: np.ndarray, orders: list[np.ndarray], msl: int):
@@ -163,29 +140,16 @@ PREDICT_CELLS = 8192
 
 @dataclass
 class Ensemble:
-    """base_score plus learning_rate-weighted sum of tree outputs."""
+    """base_score plus learning_rate-weighted sum of tree outputs.
+
+    Built by ``fit``, whose pre-order numbering puts each split's children
+    after it inside its own tree; ``predict`` raises on a walk that ends
+    off a leaf."""
 
     base_score: float
     trees: list[RegressionTree]
     config: GbtConfig
     n_features: int
-
-    def __post_init__(self):
-        # a split's children lie after it inside its own tree (the pre-order
-        # numbering of _build_tree), so every walk ends at a leaf of that tree
-        for k, t in enumerate(self.trees):
-            n = len(t.feature)
-            if n < 1 or {len(t.threshold), len(t.left), len(t.right), len(t.value)} != {n}:
-                raise ValueError(f"tree {k}: its node arrays need one common length >= 1")
-            i = np.flatnonzero(t.feature >= 0)
-            ok = (i < t.left[i]) & (t.left[i] < n) & (i < t.right[i]) & (t.right[i] < n)
-            j = i[~(ok & (t.feature[i] < self.n_features))]
-            if j.size:
-                j = j[0]
-                raise ValueError(
-                    f"tree {k}: split node {j} has feature {t.feature[j]} and children {t.left[j]}, {t.right[j]};"
-                    f" needs a feature below {self.n_features} and children in ({j}, {n})"
-                )
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -222,23 +186,6 @@ class Ensemble:
                 out += self.config.learning_rate * leaf_value
         return out
 
-    def to_dict(self) -> dict:
-        return {
-            "base_score": self.base_score,
-            "n_features": self.n_features,
-            "config": asdict(self.config),
-            "trees": [t.to_dict() for t in self.trees],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Ensemble":
-        return cls(
-            base_score=d["base_score"],
-            trees=[RegressionTree.from_dict(t) for t in d["trees"]],
-            config=GbtConfig(**d["config"]),
-            n_features=d["n_features"],
-        )
-
 
 def fit(x: np.ndarray, y: np.ndarray, cfg: GbtConfig = GbtConfig()) -> Ensemble:
     """Boost cfg.n_rounds trees onto the residuals of a squared-loss model."""
@@ -270,31 +217,3 @@ def fit(x: np.ndarray, y: np.ndarray, cfg: GbtConfig = GbtConfig()) -> Ensemble:
         trees.append(_build_tree(x, y - pred, full_orders, cfg, tree_pred))
         pred += cfg.learning_rate * tree_pred
     return Ensemble(base, trees, cfg, n_features=p)
-
-
-def save_ensembles(ensembles: list[Ensemble] | tuple[Ensemble, ...] | Ensemble, path: str | Path) -> Path:
-    """Write one or more ensembles to a self-describing JSON text file."""
-    if isinstance(ensembles, Ensemble):
-        ensembles = [ensembles]
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    doc = {"format": "pibrake-gbt-v1", "ensembles": [e.to_dict() for e in ensembles]}
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    return path
-
-
-def load_ensembles(path: str | Path) -> list[Ensemble]:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("format") != "pibrake-gbt-v1":
-        raise ValueError(f"{path} is not a saved model file")
-    known = {f.name for f in fields(GbtConfig)}
-    for d in doc["ensembles"]:
-        unknown = sorted(set(d["config"]) - known)
-        if unknown:
-            raise ValueError(
-                f"{path} was saved by an older pibrake: its learner config has the unknown fields {unknown}"
-            )
-    try:
-        return [Ensemble.from_dict(d) for d in doc["ensembles"]]
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None

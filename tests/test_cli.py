@@ -262,22 +262,26 @@ def test_curve_unknown_vehicle_fails(conf, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "conf_text, argv, message",
+    "conf_text, argv, code, message",
     [
-        (TINY_CONF, ["--repeats", 0], "repeats must be >= 1"),
-        (TINY_CONF, ["--fractions", ""], "fractions must not be empty"),
-        (TINY_CONF.replace("fractions = 0.5, 1.0", "fractions ="), [], "fractions must not be empty"),
-        (TINY_CONF, ["--vehicles", ""], "config file not found"),
+        (TINY_CONF, ["--repeats", 0], 1, "argument --repeats: repeats must be >= 1"),
+        (TINY_CONF, ["--fractions", ""], 1, "argument --fractions: fractions must not be empty"),
+        (TINY_CONF, ["--fractions", "0,1"], 1, "argument --fractions: fractions must lie in (0, 1]"),
+        (TINY_CONF.replace("fractions = 0.5, 1.0", "fractions ="), [], 2,
+         "tiny.conf: [curve] fractions: fractions must not be empty"),
+        (TINY_CONF.replace("repeats = 2", "repeats = 0"), [], 2, "tiny.conf: [curve] repeats: repeats must be >= 1"),
+        (TINY_CONF, ["--vehicles", ""], 2, "config file not found"),
     ],
-    ids=["repeats-0", "fractions-flag-empty", "fractions-key-empty", "vehicles-flag-empty"],
+    ids=["repeats-0", "fractions-flag-empty", "fractions-flag-0", "fractions-key-empty", "repeats-key-0",
+         "vehicles-flag-empty"],
 )
-def test_curve_zero_or_empty_values_fail(tmp_path, capsys, conf_text, argv, message):
+def test_curve_zero_or_empty_values_fail(tmp_path, capsys, conf_text, argv, code, message):
     conf = tmp_path / "tiny.conf"
     conf.write_text(conf_text)
     out = tmp_path / "reports"
-    assert run("curve", "--config", conf, "--out", out, "--gen", "--vehicle", "small", *argv) == 2
+    assert run("curve", "--config", conf, "--out", out, "--gen", "--vehicle", "small", *argv) == code
     assert message in capsys.readouterr().err
-    assert not (out / "kinematic" / "pi" / "curves").exists()
+    assert not out.exists()
 
 
 def test_curve_fractions_that_do_not_parse_are_a_usage_error(conf, tmp_path, capsys):
@@ -293,6 +297,23 @@ def test_negative_seed_flag_is_a_usage_error(conf, tmp_path, capsys):
     for source in ("kinematic", "surrogate"):
         assert run("gen", "--config", conf, "--source", source, "--seed", -1, "--out", out) == 1
         assert "argument --seed: invalid natural value: '-1'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--rounds", 0, "n_rounds must be >= 1"),
+        ("--depth", 0, "max_depth must be >= 1"),
+        ("--lr", 0, "learning_rate must be in (0, 1]"),
+        ("--lr", 1.5, "learning_rate must be in (0, 1]"),
+    ],
+    ids=["rounds-0", "depth-0", "lr-0", "lr-1.5"],
+)
+def test_an_out_of_range_setting_flag_is_a_usage_error(conf, tmp_path, capsys, flag, value, message):
+    out = tmp_path / "reports"
+    assert run("matrix", "--config", conf, "--out", out, "--gen", flag, value) == 1
+    assert f"argument {flag}: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 

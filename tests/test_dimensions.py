@@ -59,11 +59,11 @@ def test_variables_from_config():
 
 def test_build_dimension_matrix_columns():
     m = build_dimension_matrix([VariableDecl("X", LENGTH), VariableDecl("l", LENGTH)])
-    assert m.columns == [(0, 1, 0), (0, 1, 0)]
+    assert [v.dimension.exponents() for v in m.variables] == [(0, 1, 0), (0, 1, 0)]
     m2 = build_dimension_matrix([VariableDecl("theta", DIMENSIONLESS)])
-    assert m2.columns == [(0, 0, 0)]
+    assert [v.dimension.exponents() for v in m2.variables] == [(0, 0, 0)]
     m3 = build_dimension_matrix([VariableDecl("N_f", FORCE)])
-    assert m3.columns == [(1, 1, -2)]
+    assert [v.dimension.exponents() for v in m3.variables] == [(1, 1, -2)]
 
 
 def test_build_dimension_matrix_rejects_duplicates():
