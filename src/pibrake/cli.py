@@ -28,6 +28,7 @@ from .dimensions import (
     repeated_vars_pi_basis,
 )
 from .experiments import (
+    check_vehicles,
     comparative_study,
     emit_comparative_csv,
     emit_curve_csv,
@@ -77,7 +78,9 @@ def build_parser() -> _Parser:
     subs["pi"].add_argument("--method", choices=("repeated", "nullspace"), default="repeated")
     for name in ("matrix", "curve", "compare"):
         subs[name].add_argument("--gen", action="store_true", help="generate missing or stale datasets first")
-    subs["curve"].add_argument("--vehicle", help="vehicle whose self-prediction curve to compute")
+    subs["curve"].add_argument(
+        "--vehicle", required=True, help="vehicle whose self-prediction curve to compute"
+    )
     return parser
 
 
@@ -177,6 +180,7 @@ def cmd_pi(args) -> int:
 
 def cmd_matrix(args) -> int:
     cfg = _resolve_config(args)
+    check_vehicles(cfg.vehicles, "matrix run")
     datasets = _load_datasets(cfg, cfg.source, args.gen)
     report = run_matrix(datasets, cfg.scheme, cfg.gbt, cfg.seed)
     out_dir = cfg.out_dir / cfg.source / cfg.scheme
@@ -190,8 +194,7 @@ def cmd_matrix(args) -> int:
 
 def cmd_curve(args) -> int:
     cfg = _resolve_config(args)
-    if not args.vehicle:
-        raise ValueError("curve needs --vehicle")
+    check_vehicles(cfg.vehicles, "learning curve", args.vehicle)
     datasets = _load_datasets(cfg, cfg.source, args.gen)
     points = learning_curve(
         datasets, cfg.scheme, args.vehicle, cfg.fractions, cfg.repeats, cfg.gbt, cfg.seed
@@ -206,6 +209,7 @@ def cmd_curve(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = _resolve_config(args)
+    check_vehicles(cfg.vehicles, "comparative study", cfg.target_vehicle)
     datasets = _load_datasets(cfg, cfg.source, args.gen)
     study = comparative_study(
         datasets, cfg.target_vehicle, cfg.target_output, cfg.gbt, cfg.seed

@@ -42,7 +42,7 @@ from .dimensions import VariableDecl, variables_from_config
 from .experiments import OUTPUT_COLUMNS, check_curve
 from .features import SCHEME_NAMES
 from .gbt import GbtConfig
-from .simulator import DELTA_LIMIT, MU_MAX, VehicleSpec
+from .simulator import INPUT_RULES, STANDARD_GRAVITY, VehicleSpec
 
 DEFAULT_FRACTIONS = (0.05, 0.1, 0.2, 0.4, 0.8, 1.0)
 
@@ -100,15 +100,6 @@ def _axis_values(text: str) -> tuple[float, ...]:
     return vals
 
 
-# grid axis -> (test, rule) of the bound the simulator enforces on its values
-_AXIS_RANGES = {
-    "v_i": (lambda v: v > 0, "initial speeds must be > 0"),
-    "a_g": (lambda a: a > 0, "braking decelerations must be > 0"),
-    "delta": (lambda d: abs(d) < DELTA_LIMIT, "steering angles must satisfy |delta| < pi/2"),
-    "mu": (lambda mu: 0 < mu <= MU_MAX, f"friction coefficients must be in (0, {MU_MAX}]"),
-}
-
-
 def _grid_axis(source: str, key: str, text: str) -> tuple:
     """One grid axis, range-checked: listed values for the surrogate's mu and
     delta, a 'start, stop, count' linspace triplet otherwise."""
@@ -116,9 +107,11 @@ def _grid_axis(source: str, key: str, text: str) -> tuple:
     axis = (_axis_values if listed else _axis_triplet)(text)
     # a linspace lies between its endpoints, and a count of 1 gives only the start
     values = axis if listed else axis[: min(axis[2], 2)]
-    in_range, rule = _AXIS_RANGES[key]
+    # a_g is the braking deceleration in multiples of g: a = -g * a_g
+    name, scale = ("a", -STANDARD_GRAVITY) if key == "a_g" else (key, 1.0)
+    in_range, rule = INPUT_RULES[name]
     for v in values:
-        if not in_range(v):
+        if not in_range(scale * v):
             raise ValueError(f"{v} is out of range: {rule}")
     return axis
 

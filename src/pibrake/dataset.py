@@ -23,13 +23,14 @@ import numpy as np
 
 from .simulator import (
     DEFAULT_STEP,
-    DELTA_LIMIT,
+    INPUT_RULES,
     STANDARD_GRAVITY,
     FinalPose,
     ManeuverInput,
     VehicleSpec,
     add_surrogate_noise,
     calibrate_step,
+    check_inputs,
     saturate_batch,
     simulate_kinematic_batch,
 )
@@ -66,16 +67,6 @@ FLOAT_COLUMNS = tuple(CSV_HEADER[1:-1])
 VEHICLE_COLUMNS = ("l", "Nf", "Nr")
 ROW_COLUMNS = tuple(c for c in FLOAT_COLUMNS if c not in VEHICLE_COLUMNS)
 
-# the per-row conditions of ManeuverInput and FinalPose, and braking (a < 0),
-# checked over whole columns
-_ROW_CHECKS = (
-    ("v_i", lambda v: v > 0, "initial speed must be positive"),
-    ("a", lambda a: a < 0, "deceleration must be negative"),
-    ("delta", lambda d: np.abs(d) < DELTA_LIMIT, "steering angle must satisfy |delta| < pi/2"),
-    ("g", lambda g: g > 0, "gravity must be positive"),
-    *((name, np.isfinite, f"non-finite final pose {name}") for name in ("X", "Y", "theta")),
-)
-
 
 @dataclass(frozen=True)
 class ManeuverRecord:
@@ -91,7 +82,8 @@ class Dataset:
 
     ``vehicles`` lists each distinct vehicle once and ``vehicle_index`` maps
     every row to its entry.  ``columns`` holds the ``ROW_COLUMNS`` arrays,
-    with ``mu`` NaN where a maneuver has none; every row is checked.
+    with ``mu`` NaN where a maneuver has none; every row is checked against
+    the input rules (``mu`` on surrogate rows only) and for a finite pose.
     :meth:`columns` adds the vehicle geometry.  Iteration yields each row as
     a :class:`ManeuverRecord`.
     """
@@ -102,7 +94,6 @@ class Dataset:
         vehicle_index: np.ndarray,
         columns: dict[str, np.ndarray],
         source: str | None,
-        provenance: str = "",
     ):
         vehicles = tuple(vehicles)
         vehicle_index = np.asarray(vehicle_index, dtype=np.intp)
@@ -112,17 +103,17 @@ class Dataset:
         for name in ROW_COLUMNS:
             if c[name].shape != vehicle_index.shape:
                 raise ValueError(f"column {name!r} has shape {c[name].shape}, expected {vehicle_index.shape}")
-        for name, ok, what in _ROW_CHECKS:
-            bad = ~ok(c[name])
+        check_inputs(**{name: c[name] for name in INPUT_RULES if name != "mu" or source == "surrogate"})
+        for name in ("X", "Y", "theta"):
+            bad = ~np.isfinite(c[name])
             if bad.any():
-                raise ValueError(f"{what}, got {c[name][bad][0]}")
+                raise ValueError(f"non-finite final pose {name}, got {c[name][bad][0]}")
         geometry = np.array(
             [(v.wheelbase_l, v.front_normal_Nf, v.rear_normal_Nr) for v in vehicles], dtype=float
         ).reshape(-1, 3)[vehicle_index]
         c.update(zip(VEHICLE_COLUMNS, geometry.T.copy()))
         self.vehicles = vehicles
         self.vehicle_index = vehicle_index
-        self.provenance = provenance
         self._source = source if len(vehicle_index) else None
         self._columns = {name: c[name] for name in FLOAT_COLUMNS}
 
@@ -155,10 +146,10 @@ class Dataset:
         """The float fields as numpy columns (shared storage; do not mutate)."""
         return self._columns
 
-    def take(self, rows: np.ndarray, provenance: str) -> Dataset:
+    def take(self, rows: np.ndarray) -> Dataset:
         """The dataset of the given row indices, in that order."""
         columns = {name: self._columns[name][rows] for name in ROW_COLUMNS}
-        return Dataset(self.vehicles, self.vehicle_index[rows], columns, self._source, provenance)
+        return Dataset(self.vehicles, self.vehicle_index[rows], columns, self._source)
 
 
 def _product(axes: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -246,9 +237,8 @@ def kinematic_grid(
     if poses is None:
         (poses,) = _simulate_grids("kinematic", [vehicle], [step], 0, c)
     c["X"], c["Y"], c["theta"] = poses
-    provenance = f"kinematic grid, vehicle={vehicle.name}, step={step}"
     index = np.zeros(len(c["v_i"]), dtype=np.intp)
-    return Dataset((vehicle,), index, c, "kinematic", provenance)
+    return Dataset((vehicle,), index, c, "kinematic")
 
 
 def surrogate_grid(
@@ -270,9 +260,8 @@ def surrogate_grid(
     if poses is None:
         (poses,) = _simulate_grids("surrogate", [vehicle], [step], seed, c)
     c["X"], c["Y"], c["theta"] = poses
-    provenance = f"surrogate grid, vehicle={vehicle.name}, seed={seed}"
     index = np.zeros(len(c["v_i"]), dtype=np.intp)
-    return Dataset((vehicle,), index, c, "surrogate", provenance)
+    return Dataset((vehicle,), index, c, "surrogate")
 
 
 def split(d: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -282,9 +271,7 @@ def split(d: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Datase
     n = len(d)
     n_train = int(round(train_fraction * n))
     perm = np.random.default_rng(seed).permutation(n)
-    train = d.take(np.sort(perm[:n_train]), f"{d.provenance} [train {train_fraction} seed {seed}]")
-    test = d.take(np.sort(perm[n_train:]), f"{d.provenance} [test {1 - train_fraction} seed {seed}]")
-    return train, test
+    return d.take(np.sort(perm[:n_train])), d.take(np.sort(perm[n_train:]))
 
 
 def merge(datasets: Sequence[Dataset]) -> Dataset:
@@ -302,8 +289,7 @@ def merge(datasets: Sequence[Dataset]) -> Dataset:
         ]
     )
     columns = {name: np.concatenate([d.columns()[name] for d in datasets]) for name in ROW_COLUMNS}
-    provenance = " + ".join(d.provenance for d in datasets)
-    return Dataset(table, index, columns, kinds.pop(), provenance=f"merged({provenance})")
+    return Dataset(table, index, columns, kinds.pop())
 
 
 def save_csv(d: Dataset, path: str | Path) -> Path:
@@ -343,7 +329,7 @@ def load_csv(path: str | Path) -> Dataset:
     sources = sorted(set(fields["source"]))
     if len(sources) > 1:
         raise ValueError(f"dataset mixes sources {sources}")
-    return Dataset(vehicles, index, columns, sources[0] if sources else None, f"loaded from {path.name}")
+    return Dataset(vehicles, index, columns, sources[0] if sources else None)
 
 
 def generate(

@@ -108,10 +108,9 @@ class VariableDecl:
             raise ValueError(f"role must be one of {ROLES}, got {self.role!r}")
 
 
-def variables_from_config(lines: Mapping[str, str] | Iterable[tuple[str, str]]) -> list[VariableDecl]:
+def variables_from_config(lines: Mapping[str, str]) -> list[VariableDecl]:
     """Build variable declarations from config entries ``name = "M^p L^q T^r"``."""
-    items = lines.items() if isinstance(lines, Mapping) else lines
-    return [VariableDecl(name, parse_dimension(text)) for name, text in items]
+    return [VariableDecl(name, parse_dimension(text)) for name, text in lines.items()]
 
 
 @dataclass(frozen=True)
@@ -184,11 +183,9 @@ class PiGroup:
             parts.append(name if e == 1 else f"{name}^{e}")
         return " ".join(parts) if parts else "1"
 
-    def evaluate(self, row: Mapping[str, Value]) -> Value:
+    def __call__(self, row: Mapping[str, Value]) -> Value:
         """The group's value on one row of scalars, or elementwise on columns."""
         return _monomial(self.powers, row, self.label)
-
-    __call__ = evaluate
 
     def reciprocal(self) -> "PiGroup":
         return PiGroup(self.variables, tuple(-e for e in self.exponents))
@@ -283,9 +280,7 @@ def nullspace_pi_basis(matrix: DimensionMatrix) -> PiBasis:
     return PiBasis(matrix, tuple(PiGroup(matrix.variables, _canonicalize(e)) for e in vectors))
 
 
-def repeated_vars_pi_basis(
-    matrix: DimensionMatrix, repeated: Sequence[VariableDecl | str]
-) -> PiBasis:
+def repeated_vars_pi_basis(matrix: DimensionMatrix, repeated: Sequence[str]) -> PiBasis:
     """Pi basis by the repeated-variables construction.
 
     Each non-repeated variable appears in exactly one group with exponent +1;
@@ -297,8 +292,7 @@ def repeated_vars_pi_basis(
     """
     by_name = {v.name: v for v in matrix.variables}
     rep: list[VariableDecl] = []
-    for r in repeated:
-        name = r if isinstance(r, str) else r.name
+    for name in repeated:
         if name not in by_name:
             raise ValueError(f"repeated variable {name!r} not among declared variables")
         rep.append(by_name[name])

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -37,9 +37,22 @@ OUTPUT_COLUMNS = {"X": 0, "Y": 1, "theta": 2}
 TRAIN_FRACTION = 0.8
 
 
-def _require_vehicle(datasets: Mapping[str, Dataset], vehicle: str, role: str) -> None:
-    if vehicle not in datasets:
-        raise ValueError(f"unknown {role} {vehicle!r}; known vehicles: {', '.join(datasets)}")
+def check_vehicles(names: Iterable[str], study: str, vehicle: str | None = None) -> None:
+    """Raise ``ValueError`` unless the vehicle names suit the study ("learning
+    curve", "matrix run" or "comparative study"): ``vehicle``, the curve's
+    vehicle or the comparison's target, is one of them, and a matrix run or
+    comparative study has two or more, none of them reserved."""
+    names = list(names)
+    if vehicle is not None and vehicle not in names:
+        role = "target vehicle" if study == "comparative study" else "vehicle"
+        raise ValueError(f"unknown {role} {vehicle!r}; known vehicles: {', '.join(names)}")
+    if study == "learning curve":
+        return
+    if len(names) < 2:
+        raise ValueError(f"a {study} needs at least two vehicles, got {names}")
+    for name in RESERVED_NAMES:
+        if name in names:
+            raise ValueError(f"vehicle name {name!r} is reserved; rename the vehicle")
 
 
 def _cell_kind(model_vehicle: str, data_vehicle: str) -> str:
@@ -118,9 +131,6 @@ def _split_all(
     datasets: Mapping[str, Dataset], seed: int
 ) -> tuple[dict[str, Dataset], dict[str, Dataset], Dataset]:
     """Seeded train/test split of every vehicle, plus the merged training splits."""
-    for name in RESERVED_NAMES:
-        if name in datasets:
-            raise ValueError(f"vehicle name {name!r} is reserved; rename the vehicle")
     trains: dict[str, Dataset] = {}
     tests: dict[str, Dataset] = {}
     for name, ds in datasets.items():
@@ -161,8 +171,7 @@ def run_matrix(
     names = list(datasets)
     if not names:
         raise ValueError("no datasets given")
-    if len(names) < 2:
-        raise ValueError(f"a matrix run needs at least two vehicles, got {names}")
+    check_vehicles(names, "matrix run")
     source = datasets[names[0]].source
     trains, tests, merged = _split_all(datasets, seed)
     train_by_model = {**trains, MERGED: merged}
@@ -225,7 +234,7 @@ def learning_curve(
     one fit serves them all.
     """
     check_curve(fractions, repeats)
-    _require_vehicle(datasets, vehicle, "vehicle")
+    check_vehicles(datasets, "learning curve", vehicle)
     train, test = split(datasets[vehicle], TRAIN_FRACTION, seed)
     actual = _actual_pose(test)
     points = []
@@ -245,7 +254,7 @@ def learning_curve(
                     )
                 rng = np.random.default_rng([seed, fi, rep])
                 idx = np.sort(rng.choice(len(train), size=m, replace=False))
-                sub = train.take(idx, f"{train.provenance} [lc {frac} rep {rep}]")
+                sub = train.take(idx)
             pipe, ensembles = _fit_model(scheme, sub, cfg)
             maes[rep] = mae(actual, _predict_physical(pipe, ensembles, test))
         mx, my, mth = maes.mean(axis=0)
@@ -255,11 +264,8 @@ def learning_curve(
 
 @dataclass
 class ComparativeStudy:
-    """MAE of one output of one target vehicle under every scheme and source."""
+    """MAE of one output of one target vehicle under every scheme and training source."""
 
-    target_vehicle: str
-    output: str
-    source: str
     training_sources: list[str]
     rows: dict[str, dict[str, float]] = field(default_factory=dict)
 
@@ -285,10 +291,8 @@ def comparative_study(
     """
     if output not in OUTPUT_COLUMNS:
         raise ValueError(f"output must be one of {list(OUTPUT_COLUMNS)}")
-    _require_vehicle(datasets, target_vehicle, "target vehicle")
+    check_vehicles(datasets, "comparative study", target_vehicle)
     names = list(datasets)
-    if len(names) < 2:
-        raise ValueError(f"a comparative study needs at least two vehicles, got {names}")
     col = OUTPUT_COLUMNS[output]
     trains, tests, merged = _split_all(datasets, seed)
     test = tests[target_vehicle]
@@ -300,12 +304,7 @@ def comparative_study(
             sources[name] = trains[name]
     sources["merged"] = merged
 
-    study = ComparativeStudy(
-        target_vehicle=target_vehicle,
-        output=output,
-        source=datasets[names[0]].source,
-        training_sources=list(sources),
-    )
+    study = ComparativeStudy(list(sources))
     for scheme in schemes:
         row = {}
         for label, train_ds in sources.items():

@@ -43,15 +43,14 @@ SCHEME_NAMES = ("baseline", "normalized", "pca2", "pca3", "augmented", "pi", "pi
 
 @dataclass
 class FeatureMatrix:
-    """A rectangular block of per-record feature vectors with column names."""
+    """A rectangular block of per-record feature vectors, one row per record."""
 
     values: np.ndarray
-    columns: list[str]
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2 or self.values.shape[1] != len(self.columns):
-            raise ValueError("feature matrix must be rectangular with one name per column")
+        if self.values.ndim != 2:
+            raise ValueError(f"feature matrix must be 2-D, got shape {self.values.shape}")
         if not np.isfinite(self.values).all():
             raise ValueError("feature matrix contains non-finite entries")
 
@@ -152,7 +151,7 @@ class MaxAbsNormalizer:
     def apply(self, m: FeatureMatrix) -> FeatureMatrix:
         if self.divisors is None:
             raise RuntimeError("normalizer used before fit")
-        return FeatureMatrix(m.values / self.divisors, m.columns)
+        return FeatureMatrix(m.values / self.divisors)
 
 
 class PcaTransform:
@@ -197,8 +196,7 @@ class PcaTransform:
         if self.components is None:
             raise RuntimeError("PCA used before fit")
         z = (m.values - self.mean) / self.scale
-        cols = [f"pc{j + 1}" for j in range(self.k)]
-        return FeatureMatrix(z @ self.components, cols)
+        return FeatureMatrix(z @ self.components)
 
 
 _PI_SCHEMES = ("pi", "pi-aug", "pi-fillers")
@@ -220,7 +218,7 @@ class Pipeline:
     def _raw_inputs(self, d: Dataset) -> FeatureMatrix:
         exprs = _SCHEME_INPUTS[self.scheme][d.source]
         row = _variables(d)
-        return FeatureMatrix(np.column_stack([f(row) for f in exprs.values()]), list(exprs))
+        return FeatureMatrix(np.column_stack([f(row) for f in exprs.values()]))
 
     def fit(self, train: Dataset) -> "Pipeline":
         if self.scheme == "normalized":

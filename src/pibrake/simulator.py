@@ -33,9 +33,34 @@ DEFAULT_STEP = 1e-3
 MAX_RK4_STEPS = 10**6
 SURROGATE_SIGMA_XY = 0.005
 SURROGATE_SIGMA_THETA = 0.01
-# steering must satisfy |delta| < DELTA_LIMIT; the surrogate takes mu in (0, MU_MAX]
 DELTA_LIMIT = math.pi / 2
 MU_MAX = 1.5
+
+# maneuver input -> (test on a number or a numpy column, rule); every boundary
+# that takes an input checks this rule: ManeuverInput, the batch kernel, the
+# surrogate's saturation, Dataset and the config grid axes
+INPUT_RULES = {
+    "v_i": (lambda v: v > 0, "initial speed must be positive"),
+    "a": (lambda a: a < 0, "deceleration must be negative: a maneuver that does not brake never terminates"),
+    "delta": (lambda d: abs(d) < DELTA_LIMIT, "steering angle must satisfy |delta| < pi/2"),
+    "mu": (
+        lambda mu: (0 < mu) & (mu <= MU_MAX),
+        f"the surrogate needs a friction coefficient mu in (0, {MU_MAX}]",
+    ),
+    "g": (lambda g: g > 0, "gravity must be positive"),
+}
+
+
+def check_inputs(**values) -> None:
+    """Raise ``ValueError`` naming the first value that breaks its input's rule
+    in :data:`INPUT_RULES`; each value is a number, a numpy column, or None
+    (a missing value, which breaks every rule)."""
+    for name, value in values.items():
+        ok, rule = INPUT_RULES[name]
+        value = np.asarray(value, dtype=float)
+        good = ok(value)
+        if not good.all():
+            raise ValueError(f"{rule}, got {name}={value[~good].flat[0]}")
 
 
 @dataclass(frozen=True)
@@ -63,12 +88,7 @@ class ManeuverInput:
     g: float = STANDARD_GRAVITY
 
     def __post_init__(self):
-        if not self.v_i > 0:
-            raise ValueError(f"initial speed must be positive, got {self.v_i}")
-        if not abs(self.delta) < DELTA_LIMIT:
-            raise ValueError(f"steering angle must satisfy |delta| < pi/2, got {self.delta}")
-        if not self.g > 0:
-            raise ValueError(f"gravity must be positive, got {self.g}")
+        check_inputs(**{name: value for name, value in vars(self).items() if value is not None})
 
 
 @dataclass(frozen=True)
@@ -82,11 +102,6 @@ class FinalPose:
     def __post_init__(self):
         if not all(math.isfinite(v) for v in (self.X, self.Y, self.theta)):
             raise ValueError(f"non-finite final pose {(self.X, self.Y, self.theta)}")
-
-
-def _require_braking(a: float) -> None:
-    if not a < 0:
-        raise ValueError(f"maneuver never terminates: deceleration must be negative, got a={a}")
 
 
 def _require_step_budget(v_i: np.ndarray, a: np.ndarray, step: float) -> None:
@@ -139,7 +154,6 @@ def simulate_kinematic(
     vehicle: VehicleSpec, m: ManeuverInput, step: float = DEFAULT_STEP
 ) -> FinalPose:
     """Integrate one braking maneuver with RK4 until the vehicle stops."""
-    _require_braking(m.a)
     if not step > 0:
         raise ValueError(f"step must be positive, got {step}")
     x, y, th, _ = _integrate_kinematic(vehicle.wheelbase_l, m.v_i, m.a, m.delta, step)
@@ -148,7 +162,6 @@ def simulate_kinematic(
 
 def analytic_arc_oracle(vehicle: VehicleSpec, m: ManeuverInput) -> FinalPose:
     """Closed-form final pose: arc of radius l/tan(delta), length v_i^2/(2|a|)."""
-    _require_braking(m.a)
     s = m.v_i * m.v_i / (2.0 * abs(m.a))
     if m.delta == 0.0:
         return FinalPose(s, 0.0, 0.0)
@@ -186,10 +199,7 @@ def simulate_kinematic_batch(
     a = np.asarray(a, dtype=float)
     delta = np.asarray(delta, dtype=float)
     wheelbase_l = np.broadcast_to(np.asarray(wheelbase_l, dtype=float), v_i.shape)
-    if np.any(a >= 0):
-        raise ValueError("all maneuvers must brake (a < 0)")
-    if np.any(v_i <= 0):
-        raise ValueError("all initial speeds must be positive")
+    check_inputs(v_i=v_i, a=a, delta=delta)
     if np.any(wheelbase_l <= 0):
         raise ValueError("all wheelbases must be positive")
     _require_step_budget(v_i, a, step)
@@ -270,16 +280,10 @@ def simulate_kinematic_batch(
     return X_out, Y_out, TH_out
 
 
-def calibrate_step(
-    vehicle: VehicleSpec,
-    tol: float = 1e-6,
-    initial: float = DEFAULT_STEP,
-    probe: ManeuverInput | None = None,
-) -> float:
+def calibrate_step(vehicle: VehicleSpec, tol: float = 1e-6, initial: float = DEFAULT_STEP) -> float:
     """Halve the RK4 step until a demanding probe maneuver agrees with the
     analytic oracle to within ``tol`` on every pose component."""
-    if probe is None:
-        probe = ManeuverInput(v_i=5.0, a=-0.981, delta=0.7854)
+    probe = ManeuverInput(v_i=5.0, a=-0.981, delta=0.7854)
     step = initial
     while True:
         got = simulate_kinematic(vehicle, probe, step)
@@ -293,11 +297,9 @@ def calibrate_step(
 
 
 def _saturated_inputs(
-    vehicle: VehicleSpec, mu: float | None, v_i: float, a: float, delta: float, g: float
+    vehicle: VehicleSpec, mu: float, v_i: float, a: float, delta: float, g: float
 ) -> tuple[float, float]:
-    """Apply rear-axle and lateral adherence limits to (a, delta)."""
-    if mu is None or not 0.0 < mu <= MU_MAX:
-        raise ValueError(f"surrogate requires mu in (0, {MU_MAX}], got {mu}")
+    """Apply rear-axle and lateral adherence limits to (a, delta); the caller checks ``mu``."""
     limit = mu * g * vehicle.rear_normal_Nr / (vehicle.front_normal_Nf + vehicle.rear_normal_Nr)
     a_eff = -min(abs(a), limit)
     delta_eff = delta
@@ -322,7 +324,6 @@ def simulate_dynamic_surrogate(
     noise_seed: int,
     sigma_xy: float = SURROGATE_SIGMA_XY,
     sigma_theta: float = SURROGATE_SIGMA_THETA,
-    step: float = DEFAULT_STEP,
 ) -> FinalPose:
     """Friction-limited braking outcome with measurement-like noise.
 
@@ -332,9 +333,9 @@ def simulate_dynamic_surrogate(
     Gaussian noise (``sigma_xy`` on X and Y, ``sigma_theta`` on theta) is
     drawn from ``noise_seed``; pass zero sigmas to disable it.
     """
-    _require_braking(m.a)
+    check_inputs(mu=m.mu)
     a_eff, delta_eff = _saturated_inputs(vehicle, m.mu, m.v_i, m.a, m.delta, m.g)
-    x, y, th, _ = _integrate_kinematic(vehicle.wheelbase_l, m.v_i, a_eff, delta_eff, step)
+    x, y, th, _ = _integrate_kinematic(vehicle.wheelbase_l, m.v_i, a_eff, delta_eff, DEFAULT_STEP)
     rng = np.random.default_rng(noise_seed)
     dx = float(rng.normal(0.0, sigma_xy))
     dy = float(rng.normal(0.0, sigma_xy))
@@ -346,6 +347,7 @@ def saturate_batch(
     vehicle: VehicleSpec, mu: np.ndarray, v_i: np.ndarray, a: np.ndarray, delta: np.ndarray, g: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Effective (a, delta) of every row under the adherence limits, row by row as the scalar surrogate."""
+    check_inputs(mu=mu)
     rows = zip(*(np.asarray(c, dtype=float).tolist() for c in (mu, v_i, a, delta, g)))
     pairs = np.array([_saturated_inputs(vehicle, *row) for row in rows], dtype=float).reshape(-1, 2)
     return pairs[:, 0], pairs[:, 1]
@@ -357,15 +359,13 @@ def add_surrogate_noise(
     X: np.ndarray,
     Y: np.ndarray,
     TH: np.ndarray,
-    sigma_xy: float = SURROGATE_SIGMA_XY,
-    sigma_theta: float = SURROGATE_SIGMA_THETA,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Add the measurement noise in place; row i draws from ``record_noise_seed(seed, vehicle_name, i)``."""
     for i in range(len(X)):
         rng = np.random.default_rng(record_noise_seed(seed, vehicle_name, i))
-        X[i] += rng.normal(0.0, sigma_xy)
-        Y[i] += rng.normal(0.0, sigma_xy)
-        TH[i] += rng.normal(0.0, sigma_theta)
+        X[i] += rng.normal(0.0, SURROGATE_SIGMA_XY)
+        Y[i] += rng.normal(0.0, SURROGATE_SIGMA_XY)
+        TH[i] += rng.normal(0.0, SURROGATE_SIGMA_THETA)
     return X, Y, TH
 
 
@@ -377,11 +377,8 @@ def simulate_surrogate_batch(
     delta: np.ndarray,
     g: np.ndarray,
     seed: int,
-    sigma_xy: float = SURROGATE_SIGMA_XY,
-    sigma_theta: float = SURROGATE_SIGMA_THETA,
-    step: float = DEFAULT_STEP,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized surrogate over a grid: saturation, the lockstep kernel, then the noise."""
     a_eff, delta_eff = saturate_batch(vehicle, mu, v_i, a, delta, g)
-    X, Y, TH = simulate_kinematic_batch(vehicle.wheelbase_l, v_i, a_eff, delta_eff, step)
-    return add_surrogate_noise(vehicle.name, seed, X, Y, TH, sigma_xy, sigma_theta)
+    X, Y, TH = simulate_kinematic_batch(vehicle.wheelbase_l, v_i, a_eff, delta_eff)
+    return add_surrogate_noise(vehicle.name, seed, X, Y, TH)

@@ -172,7 +172,9 @@ def test_curve_command(conf, tmp_path, capsys):
     path = out / "kinematic" / "pi" / "curves" / "small.csv"
     assert path.exists()
     assert path.read_text().splitlines()[0] == "fraction,mae_x,mae_y,mae_theta"
-    assert run("curve", "--config", conf, "--out", out) == 2  # no --vehicle
+    capsys.readouterr()
+    assert run("curve", "--config", conf, "--out", out) == 1  # no --vehicle
+    assert "the following arguments are required: --vehicle" in capsys.readouterr().err
 
 
 def test_compare_command(conf, tmp_path, capsys):
@@ -240,8 +242,10 @@ def test_config_with_an_empty_vehicles_section_fails(tmp_path, capsys):
 def test_matrix_one_vehicle_fails(tmp_path, capsys):
     tiny = tmp_path / "tiny.conf"
     tiny.write_text(TINY_CONF.replace("large = 0.475, 71.12, 71.12\n", ""))
-    assert run("matrix", "--config", tiny, "--out", tmp_path / "reports", "--gen") == 2
+    out = tmp_path / "reports"
+    assert run("matrix", "--config", tiny, "--out", out, "--gen") == 2
     assert "at least two vehicles" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_compare_one_vehicle_fails(tmp_path, capsys):
@@ -250,7 +254,7 @@ def test_compare_one_vehicle_fails(tmp_path, capsys):
     out = tmp_path / "reports"
     assert run("compare", "--config", tiny, "--out", out, "--gen", "--target", "large") == 2
     assert "a comparative study needs at least two vehicles" in capsys.readouterr().err
-    assert not (out / "kinematic" / "comparative.csv").exists()
+    assert not out.exists()
 
 
 def test_curve_unknown_vehicle_fails(conf, tmp_path, capsys):
@@ -258,7 +262,28 @@ def test_curve_unknown_vehicle_fails(conf, tmp_path, capsys):
     assert run("curve", "--config", conf, "--out", out, "--gen", "--vehicle", "nope") == 2
     err = capsys.readouterr().err
     assert "unknown vehicle 'nope'; known vehicles: small, large" in err
-    assert not (out / "kinematic" / "pi" / "curves").exists()
+    assert not out.exists()
+
+
+RESERVED_CONF = TINY_CONF.replace("small =", "MERGED =")
+
+
+@pytest.mark.parametrize(
+    "conf_text, argv, message",
+    [
+        (TINY_CONF, ["compare", "--target", "nope"], "unknown target vehicle 'nope'; known vehicles: small, large"),
+        (RESERVED_CONF, ["compare", "--target", "large"], "vehicle name 'MERGED' is reserved"),
+        (RESERVED_CONF, ["matrix"], "vehicle name 'MERGED' is reserved"),
+    ],
+    ids=["compare-unknown-target", "compare-reserved-name", "matrix-reserved-name"],
+)
+def test_a_study_checks_vehicle_names_before_it_writes_datasets(tmp_path, capsys, conf_text, argv, message):
+    conf = tmp_path / "tiny.conf"
+    conf.write_text(conf_text)
+    out = tmp_path / "reports"
+    assert run(*argv, "--config", conf, "--out", out, "--gen") == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -360,7 +385,7 @@ def test_a_setting_flag_overrides_the_file_only_when_given(tmp_path, command, fl
     text, given, read, from_file, from_flag = OVERRIDES[flag]
     conf = tmp_path / "run.conf"
     conf.write_text(text + "\n")
-    argv = [command, "--config", str(conf)]
+    argv = [command, "--config", str(conf), *(["--vehicle", "small"] if command == "curve" else [])]
     assert read(_resolve_config(build_parser().parse_args(argv))) == from_file
     assert read(_resolve_config(build_parser().parse_args([*argv, f"--{flag}", given]))) == from_flag
 

@@ -107,7 +107,7 @@ def test_split_sizes(small_grid):
 
 def test_split_two_records():
     ds = kinematic_grid(SMALL, grid=TINY_KIN_GRID)
-    two = ds.take(np.arange(2), "pair")
+    two = ds.take(np.arange(2))
     one, other = split(two, 0.5, seed=1)
     assert len(one) == 1 and len(other) == 1
 
@@ -192,10 +192,18 @@ def test_grid_override():
         ("l", "0.0", "must all be positive"),
         ("source", "surrogate", "mixes sources"),
         ("source", "lidar", "unknown source"),
+        ("mu", "5.0", "friction coefficient mu in"),
+        ("mu", "0.0", "friction coefficient mu in"),
+        ("mu", "", "friction coefficient mu in"),
     ],
 )
 def test_load_rejects_invalid_rows(tmp_path, field, value, message):
-    path = save_csv(kinematic_grid(SMALL, grid=TINY_KIN_GRID), tmp_path / "kin.csv")
+    # mu is checked on surrogate rows only
+    if field == "mu":
+        ds = surrogate_grid(SMALL, seed=0, grid=TINY_SUR_GRID)
+    else:
+        ds = kinematic_grid(SMALL, grid=TINY_KIN_GRID)
+    path = save_csv(ds, tmp_path / "data.csv")
     lines = path.read_text(encoding="utf-8").splitlines()
     row = lines[2].split(",")
     row[CSV_HEADER.index(field)] = value
@@ -216,7 +224,6 @@ def test_generate_batches_vehicles_by_step_without_changing_bytes(tmp_path):
         together = generate(registry, source, seed=3, grid=grid)
         for v in registry:
             alone = generate([v], source, seed=3, grid=grid)[v.name]
-            assert together[v.name].provenance == alone.provenance
             a = save_csv(together[v.name], tmp_path / "together.csv").read_bytes()
             b = save_csv(alone, tmp_path / "alone.csv").read_bytes()
             assert a == b, (source, v.name)

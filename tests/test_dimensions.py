@@ -161,17 +161,17 @@ def test_transform_row_braking_group():
     basis = repeated_vars_pi_basis(m, ["l", "v_i"])
     g = basis.group_for("a")
     # oracle: the direct product a * l / v_i^2
-    assert g.evaluate({"a": -4.905, "l": 0.475, "v_i": 2.0}) == pytest.approx(
+    assert g({"a": -4.905, "l": 0.475, "v_i": 2.0}) == pytest.approx(
         -4.905 * 0.475 / 2.0**2, rel=1e-12
     )
-    assert basis.group_for("X").evaluate({"X": 0.0, "l": 0.345}) == 0.0
+    assert basis.group_for("X")({"X": 0.0, "l": 0.345}) == 0.0
 
 
 def test_transform_row_gravity_group():
     m = build_dimension_matrix(dynamic_variables())
     basis = repeated_vars_pi_basis(m, ["l", "v_i", "N_f"])
     g = basis.group_for("g")
-    assert g.evaluate({"g": 9.81, "l": 0.345, "v_i": 1.0}) == pytest.approx(3.38445, rel=1e-12)
+    assert g({"g": 9.81, "l": 0.345, "v_i": 1.0}) == pytest.approx(3.38445, rel=1e-12)
 
 
 def test_transform_row_rejects_degenerate():

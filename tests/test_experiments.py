@@ -89,7 +89,7 @@ def test_audit_catches_overlap(tiny_datasets):
     ds = tiny_datasets["small"]
     train, test = split(ds, 0.8, seed=0)
     assert audit_no_leakage({"m": train}, {"small": test}) == []
-    dirty = merge([train, test.take(np.array([0]), "dirty")])
+    dirty = merge([train, test.take(np.array([0]))])
     assert audit_no_leakage({"m": dirty}, {"small": test}) == [("m", "small")]
 
 

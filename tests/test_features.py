@@ -141,14 +141,14 @@ def test_augmented_features():
 
 
 def test_normalizer():
-    m = FeatureMatrix(np.array([[1.0, 0.0], [-2.0, 0.0], [0.5, 0.0]]), ["a", "b"])
+    m = FeatureMatrix(np.array([[1.0, 0.0], [-2.0, 0.0], [0.5, 0.0]]))
     norm = MaxAbsNormalizer().fit(m)
     out = norm.apply(m)
     assert out.values[:, 0].tolist() == [0.5, -1.0, 0.25]
     assert out.values[:, 1].tolist() == [0.0, 0.0, 0.0]
     assert np.abs(out.values[:, 0]).max() == 1.0
     # test-time value beyond the training max is allowed to leave [-1, 1]
-    probe = FeatureMatrix(np.array([[4.0, 1.0]]), ["a", "b"])
+    probe = FeatureMatrix(np.array([[4.0, 1.0]]))
     assert norm.apply(probe).values[0, 0] == 2.0
     with pytest.raises(RuntimeError):
         MaxAbsNormalizer().apply(m)
@@ -157,7 +157,7 @@ def test_normalizer():
 def test_pca_full_rank_reconstruction():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(200, 4)) @ rng.normal(size=(4, 4))
-    m = FeatureMatrix(x, list("abcd"))
+    m = FeatureMatrix(x)
     pca = PcaTransform(4).fit(m)
     z = pca.apply(m).values
     x_rec = (z @ pca.components.T) * pca.scale + pca.mean
@@ -167,7 +167,7 @@ def test_pca_full_rank_reconstruction():
 
 def test_pca_line_in_2d():
     t = np.linspace(-1, 1, 50)
-    m = FeatureMatrix(np.column_stack([t, 3 * t]), ["a", "b"])
+    m = FeatureMatrix(np.column_stack([t, 3 * t]))
     pca = PcaTransform(1).fit(m)
     z = pca.apply(m).values
     x_rec = (z @ pca.components.T) * pca.scale + pca.mean
@@ -175,7 +175,7 @@ def test_pca_line_in_2d():
 
 
 def test_pca_validation_and_sign():
-    m = FeatureMatrix(np.random.default_rng(1).normal(size=(50, 3)), list("abc"))
+    m = FeatureMatrix(np.random.default_rng(1).normal(size=(50, 3)))
     with pytest.raises(ValueError):
         PcaTransform(0).fit(m)
     with pytest.raises(ValueError):
@@ -284,17 +284,17 @@ def test_features_match_dimension_engine():
         "l": r.vehicle.wheelbase_l,
     }
     vals = features("pi", ds)
-    assert vals[0] == pytest.approx(basis.group_for("a").evaluate(row), rel=1e-12)
-    assert vals[1] == pytest.approx(basis.group_for("delta").evaluate(row), rel=1e-12)
+    assert vals[0] == pytest.approx(basis.group_for("a")(row), rel=1e-12)
+    assert vals[1] == pytest.approx(basis.group_for("delta")(row), rel=1e-12)
     # engine emits the axle ratio as N_r/N_f; the feature uses the reciprocal
-    assert vals[2] == pytest.approx(1.0 / basis.group_for("N_r").evaluate(row), rel=1e-12)
-    assert vals[3] == pytest.approx(basis.group_for("mu").evaluate(row), rel=1e-12)
-    assert vals[4] == pytest.approx(basis.group_for("g").evaluate(row), rel=1e-12)
+    assert vals[2] == pytest.approx(1.0 / basis.group_for("N_r")(row), rel=1e-12)
+    assert vals[3] == pytest.approx(basis.group_for("mu")(row), rel=1e-12)
+    assert vals[4] == pytest.approx(basis.group_for("g")(row), rel=1e-12)
     pipe = make_pipeline("pi")
     y = pipe.target_matrix(ds)[0]
-    assert y[0] == pytest.approx(basis.group_for("X").evaluate(row), rel=1e-12)
-    assert y[1] == pytest.approx(basis.group_for("Y").evaluate(row), rel=1e-12)
-    assert y[2] == pytest.approx(basis.group_for("theta").evaluate(row), rel=1e-12)
+    assert y[0] == pytest.approx(basis.group_for("X")(row), rel=1e-12)
+    assert y[1] == pytest.approx(basis.group_for("Y")(row), rel=1e-12)
+    assert y[2] == pytest.approx(basis.group_for("theta")(row), rel=1e-12)
 
 
 def small_grid(source, vehicle):

@@ -100,12 +100,12 @@ def test_audit_flags_exactly_the_leaked_vehicle(pair, source, seed, data):
     models = {**trains, "merged": merge(list(trains.values()))}
     assert audit_no_leakage(models, tests) == []
     row = [data.draw(st.integers(0, len(tests["one"]) - 1))]
-    leaked = merge([trains["two"], tests["one"].take(row, "leak")])
+    leaked = merge([trains["two"], tests["one"].take(row)])
     assert audit_no_leakage({"m": leaked}, tests) == [("m", "one")]
     # the same inputs on the same name with another wheelbase are another experiment
     other = replace(pair[0], wheelbase_l=2 * pair[0].wheelbase_l)
     _, moved = split(grid(other, source, seed), 0.8, seed)
-    moved_in = merge([trains["two"], moved.take(row, "moved")])
+    moved_in = merge([trains["two"], moved.take(row)])
     assert audit_no_leakage({"m": moved_in}, {"one": tests["one"]}) == []
 
 

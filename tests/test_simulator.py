@@ -1,12 +1,15 @@
 import math
+import re
 import time
 
 import numpy as np
 import pytest
 
 from pibrake import simulator
-from pibrake.dataset import DEFAULT_VEHICLES, generate
+from pibrake.config import load_run_config
+from pibrake.dataset import DEFAULT_VEHICLES, ROW_COLUMNS, Dataset, generate
 from pibrake.simulator import (
+    INPUT_RULES,
     FinalPose,
     ManeuverInput,
     VehicleSpec,
@@ -267,3 +270,35 @@ def test_calibrate_step_fails_clearly_at_the_budget(monkeypatch):
     monkeypatch.setattr(simulator, "MAX_RK4_STEPS", 1000)
     with pytest.raises(RuntimeError, match="failed to converge"):
         calibrate_step(SMALL, tol=1e-300, initial=1e-2)
+
+
+VALID_INPUTS = {"v_i": 1.0, "a": -1.0, "delta": 0.1, "mu": 0.4, "g": 9.81}
+# per input: a value that breaks its rule, and the [grid.surrogate] line that
+# gives it (g has no grid axis; a_g is the braking level, a = -g * a_g)
+BROKEN_INPUTS = {
+    "v_i": (0.0, "v_i = 0.0, 3.0, 3"),
+    "a": (0.0, "a_g = 0.0, 1.0, 3"),
+    "delta": (1.6, "delta = 1.6"),
+    "mu": (5.0, "mu = 5.0"),
+    "g": (-9.81, None),
+}
+
+
+@pytest.mark.parametrize("name", INPUT_RULES)
+def test_every_boundary_that_takes_an_input_enforces_its_rule(tmp_path, name):
+    value, grid_line = BROKEN_INPUTS[name]
+    inputs = {**VALID_INPUTS, name: value}
+    rule = re.escape(INPUT_RULES[name][1])
+    with pytest.raises(ValueError, match=rule):
+        ManeuverInput(**inputs)
+    if name in ("v_i", "a", "delta"):
+        with pytest.raises(ValueError, match=rule):
+            simulate_kinematic_batch(SMALL.wheelbase_l, *(np.array([inputs[k]]) for k in ("v_i", "a", "delta")))
+    columns = {k: np.array([inputs.get(k, 0.0)]) for k in ROW_COLUMNS}
+    with pytest.raises(ValueError, match=rule):
+        Dataset([SMALL], np.zeros(1, dtype=np.intp), columns, "surrogate")
+    if grid_line is not None:
+        path = tmp_path / "run.conf"
+        path.write_text(f"[grid.surrogate]\n{grid_line}\n")
+        with pytest.raises(ValueError, match=rule):
+            load_run_config(path)
