@@ -127,7 +127,7 @@ def _load_datasets(cfg: RunConfig, source: str, gen: bool) -> dict[str, Dataset]
         raise FileNotFoundError(
             f"missing datasets {missing}; run `pibrake gen --source {source}` or pass --gen"
         )
-    datasets = generate(cfg.vehicles.values(), source, cfg.seed, cfg.grid_for(source))
+    datasets = generate(cfg.vehicles.values(), source, cfg.seed, cfg.grids[source])
     for name, ds in datasets.items():
         save_csv(ds, paths[name])
     return datasets
@@ -135,7 +135,7 @@ def _load_datasets(cfg: RunConfig, source: str, gen: bool) -> dict[str, Dataset]
 
 def cmd_gen(args) -> int:
     cfg = _resolve_config(args)
-    datasets = generate(cfg.vehicles.values(), cfg.source, cfg.seed, cfg.grid_for(cfg.source))
+    datasets = generate(cfg.vehicles.values(), cfg.source, cfg.seed, cfg.grids[cfg.source])
     for name, ds in datasets.items():
         path = _dataset_paths(cfg, cfg.source)[name]
         save_csv(ds, path)

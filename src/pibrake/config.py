@@ -37,12 +37,14 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
-from .dataset import DEFAULT_VEHICLES, KINEMATIC_GRID, SOURCES, SURROGATE_GRID
+import numpy as np
+
+from .dataset import DEFAULT_VEHICLES, GRIDS, LISTED_AXES, SOURCES, axis_input
 from .dimensions import VariableDecl, variables_from_config
 from .experiments import OUTPUT_COLUMNS, check_curve
 from .features import SCHEME_NAMES
 from .gbt import GbtConfig
-from .simulator import INPUT_RULES, STANDARD_GRAVITY, VehicleSpec
+from .simulator import INPUT_RULES, VehicleSpec
 
 DEFAULT_FRACTIONS = (0.05, 0.1, 0.2, 0.4, 0.8, 1.0)
 
@@ -59,16 +61,12 @@ class RunConfig:
     repeats: int = 5
     target_vehicle: str = "large"
     target_output: str = "Y"
-    kinematic_grid: dict = field(default_factory=lambda: dict(KINEMATIC_GRID))
-    surrogate_grid: dict = field(default_factory=lambda: dict(SURROGATE_GRID))
+    grids: dict[str, dict] = field(default_factory=lambda: {src: dict(axes) for src, axes in GRIDS.items()})
     variables: list[VariableDecl] = field(default_factory=list)
 
     @property
     def data_dir(self) -> Path:
         return self.out_dir / "data"
-
-    def grid_for(self, source: str) -> dict:
-        return self.kinematic_grid if source == "kinematic" else self.surrogate_grid
 
 
 def floats(text: str) -> tuple[float, ...]:
@@ -101,18 +99,22 @@ def _axis_values(text: str) -> tuple[float, ...]:
 
 
 def _grid_axis(source: str, key: str, text: str) -> tuple:
-    """One grid axis, range-checked: listed values for the surrogate's mu and
-    delta, a 'start, stop, count' linspace triplet otherwise."""
-    listed = source == "surrogate" and key in ("mu", "delta")
+    """One grid axis: listed values or a 'start, stop, count' linspace triplet,
+    as ``dataset.LISTED_AXES`` says; its values must lie in range and differ."""
+    listed = (source, key) in LISTED_AXES
     axis = (_axis_values if listed else _axis_triplet)(text)
-    # a linspace lies between its endpoints, and a count of 1 gives only the start
-    values = axis if listed else axis[: min(axis[2], 2)]
-    # a_g is the braking deceleration in multiples of g: a = -g * a_g
-    name, scale = ("a", -STANDARD_GRAVITY) if key == "a_g" else (key, 1.0)
+    if not np.isfinite(axis).all():
+        raise ValueError(f"grid axis values must be finite, got {text!r}")
+    name, values = axis_input(source, key, axis)
     in_range, rule = INPUT_RULES[name]
-    for v in values:
-        if not in_range(scale * v):
-            raise ValueError(f"{v} is out of range: {rule}")
+    bad = np.flatnonzero(~in_range(values))
+    if len(bad):
+        # a linspace takes its endpoints exactly and lies between them, so its
+        # first bad value is its start or else its stop; report it as written
+        written = axis[bad[0]] if listed else axis[min(bad[0], 1)]
+        raise ValueError(f"{written} is out of range: {rule}")
+    if len(np.unique(values)) < len(values):
+        raise ValueError(f"grid axis repeats a value, got {text!r}")
     return axis
 
 
@@ -156,7 +158,7 @@ SETTINGS = {
 # the keys each section accepts; None marks free-form names
 SECTION_KEYS = {
     **{s.section: tuple(k for k, t in SETTINGS.items() if t.section == s.section) for s in SETTINGS.values()},
-    "grid.kinematic": KINEMATIC_GRID, "grid.surrogate": SURROGATE_GRID, "vehicles": None, "variables": None,
+    **{f"grid.{src}": tuple(axes) for src, axes in GRIDS.items()}, "vehicles": None, "variables": None,
 }
 
 
@@ -204,7 +206,7 @@ def _set(cfg: RunConfig, section: str, key: str, text: str) -> None:
         cfg.variables += variables_from_config({key: text})
     elif section.startswith("grid."):
         source = section.removeprefix("grid.")
-        cfg.grid_for(source)[key] = _grid_axis(source, key, text)
+        cfg.grids[source][key] = _grid_axis(source, key, text)
     else:
         setting = SETTINGS[key]
         setting.assign(cfg, setting.parse(text))

@@ -35,8 +35,6 @@ from .simulator import (
     simulate_kinematic_batch,
 )
 
-SOURCES = ("kinematic", "surrogate")
-
 CSV_HEADER = [
     "vehicle", "v_i", "a", "delta", "mu", "g", "l", "Nf", "Nr", "X", "Y", "theta", "source",
 ]
@@ -47,19 +45,18 @@ DEFAULT_VEHICLES = {
     "large": VehicleSpec("large", wheelbase_l=0.475, front_normal_Nf=71.12, rear_normal_Nr=71.12),
 }
 
-KINEMATIC_GRID = {
-    "v_i": (0.1, 5.0, 50),
-    "a_g": (0.1, 1.0, 10),  # deceleration magnitude in multiples of g
-    "delta": (0.0, 0.7854, 11),
+# source -> grid axis -> default, the axes in product order (outer to inner).
+# An axis in LISTED_AXES lists its values; any other is a linspace over
+# (start, stop, count).  a_g is the deceleration magnitude in multiples of g.
+GRIDS = {
+    "kinematic": {"v_i": (0.1, 5.0, 50), "a_g": (0.1, 1.0, 10), "delta": (0.0, 0.7854, 11)},
+    "surrogate": {
+        "mu": (0.2, 0.4, 0.9), "v_i": (1.0, 3.5, 6), "a_g": (0.1, 1.0, 10), "delta": (0.0, 0.3927, 0.7854),
+    },
 }
+LISTED_AXES = {("surrogate", "mu"), ("surrogate", "delta")}
 
-SURROGATE_GRID = {
-    "mu": (0.2, 0.4, 0.9),
-    "v_i": (1.0, 3.5, 6),
-    "a_g": (0.1, 1.0, 10),
-    "delta": (0.0, 0.3927, 0.7854),
-}
-
+SOURCES = tuple(GRIDS)
 
 # Dataset.columns() keys, in CSV order; the vehicle geometry (l, Nf, Nr)
 # comes from the vehicle table, every other column is stored per row
@@ -83,9 +80,9 @@ class Dataset:
     ``vehicles`` lists each distinct vehicle once and ``vehicle_index`` maps
     every row to its entry.  ``columns`` holds the ``ROW_COLUMNS`` arrays,
     with ``mu`` NaN where a maneuver has none; every row is checked against
-    the input rules (``mu`` on surrogate rows only) and for a finite pose.
-    :meth:`columns` adds the vehicle geometry.  Iteration yields each row as
-    a :class:`ManeuverRecord`.
+    the input rules (``mu`` on surrogate rows only; kinematic rows must have
+    NaN ``mu``) and for a finite pose.  :meth:`columns` adds the vehicle
+    geometry.  Iteration yields each row as a :class:`ManeuverRecord`.
     """
 
     def __init__(
@@ -104,6 +101,8 @@ class Dataset:
             if c[name].shape != vehicle_index.shape:
                 raise ValueError(f"column {name!r} has shape {c[name].shape}, expected {vehicle_index.shape}")
         check_inputs(**{name: c[name] for name in INPUT_RULES if name != "mu" or source == "surrogate"})
+        if source == "kinematic" and not np.isnan(c["mu"]).all():
+            raise ValueError(f"mu must be empty on kinematic rows, got mu={c['mu'][~np.isnan(c['mu'])][0]}")
         for name in ("X", "Y", "theta"):
             bad = ~np.isfinite(c[name])
             if bad.any():
@@ -157,31 +156,24 @@ def _product(axes: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     return dict(zip(axes, (m.ravel() for m in np.meshgrid(*axes.values(), indexing="ij"))))
 
 
+def axis_input(source: str, axis: str, spec: tuple) -> tuple[str, np.ndarray]:
+    """The input name and values of one grid axis of the source; an a_g axis
+    gives the braking deceleration a = -g * a_g."""
+    values = np.array(spec, dtype=float) if (source, axis) in LISTED_AXES else np.linspace(*spec)
+    if axis == "a_g":
+        return "a", -STANDARD_GRAVITY * values
+    return axis, values
+
+
 def _grid_inputs(source: str, grid: dict | None) -> dict[str, np.ndarray]:
     """The input columns of one vehicle's grid of the source (the same for every vehicle)."""
-    if source == "kinematic":
-        grid = grid or KINEMATIC_GRID
-        c = _product(
-            {
-                "v_i": np.linspace(*grid["v_i"]),
-                "a": -STANDARD_GRAVITY * np.linspace(*grid["a_g"]),
-                "delta": np.linspace(*grid["delta"]),
-            }
-        )
-        c["mu"] = np.full(len(c["v_i"]), math.nan)
-    elif source == "surrogate":
-        grid = grid or SURROGATE_GRID
-        c = _product(
-            {
-                "mu": np.array(grid["mu"]),
-                "v_i": np.linspace(*grid["v_i"]),
-                "a": -STANDARD_GRAVITY * np.linspace(*grid["a_g"]),
-                "delta": np.array(grid["delta"]),
-            }
-        )
-    else:
+    if source not in GRIDS:
         raise ValueError(f"unknown source {source!r}")
-    c["g"] = np.full(len(c["v_i"]), STANDARD_GRAVITY)
+    grid = grid or GRIDS[source]
+    c = _product(dict(axis_input(source, axis, grid[axis]) for axis in GRIDS[source]))
+    n = len(c["v_i"])
+    c.setdefault("mu", np.full(n, math.nan))
+    c["g"] = np.full(n, STANDARD_GRAVITY)
     return c
 
 
@@ -221,6 +213,16 @@ def _simulate_grids(
     return [poses[k] for k in range(len(vehicles))]
 
 
+def _grid_dataset(
+    source: str, vehicle: VehicleSpec, step: float, seed: int, grid: dict | None, poses: Poses | None
+) -> Dataset:
+    c = _grid_inputs(source, grid)
+    if poses is None:
+        (poses,) = _simulate_grids(source, [vehicle], [step], seed, c)
+    c["X"], c["Y"], c["theta"] = poses
+    return Dataset((vehicle,), np.zeros(len(c["v_i"]), dtype=np.intp), c, source)
+
+
 def kinematic_grid(
     vehicle: VehicleSpec, step: float | None = None, grid: dict | None = None, *, poses: Poses | None = None
 ) -> Dataset:
@@ -233,12 +235,7 @@ def kinematic_grid(
     """
     if step is None:
         step = calibrate_step(vehicle)
-    c = _grid_inputs("kinematic", grid)
-    if poses is None:
-        (poses,) = _simulate_grids("kinematic", [vehicle], [step], 0, c)
-    c["X"], c["Y"], c["theta"] = poses
-    index = np.zeros(len(c["v_i"]), dtype=np.intp)
-    return Dataset((vehicle,), index, c, "kinematic")
+    return _grid_dataset("kinematic", vehicle, step, 0, grid, poses)
 
 
 def surrogate_grid(
@@ -256,12 +253,7 @@ def surrogate_grid(
     are the grid's final noisy poses when :func:`generate` has simulated
     them already.
     """
-    c = _grid_inputs("surrogate", grid)
-    if poses is None:
-        (poses,) = _simulate_grids("surrogate", [vehicle], [step], seed, c)
-    c["X"], c["Y"], c["theta"] = poses
-    index = np.zeros(len(c["v_i"]), dtype=np.intp)
-    return Dataset((vehicle,), index, c, "surrogate")
+    return _grid_dataset("surrogate", vehicle, step, seed, grid, poses)
 
 
 def split(d: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:

@@ -8,8 +8,8 @@ merged data).  All errors are mean absolute errors in physical units;
 predictions made in dimensionless space are rescaled by the test vehicle's
 wheelbase first.
 
-Every matrix run performs a leakage audit: no test record identity may
-appear in any model's training data.
+Every study performs a leakage audit: no test record identity may appear
+in any training split, or in the merged training data.
 """
 
 from __future__ import annotations
@@ -130,12 +130,18 @@ def audit_no_leakage(
 def _split_all(
     datasets: Mapping[str, Dataset], seed: int
 ) -> tuple[dict[str, Dataset], dict[str, Dataset], Dataset]:
-    """Seeded train/test split of every vehicle, plus the merged training splits."""
+    """Seeded train/test split of every vehicle, plus the merged training
+    splits; raises ``RuntimeError`` if a test row's experiment is also in a
+    training split."""
     trains: dict[str, Dataset] = {}
     tests: dict[str, Dataset] = {}
     for name, ds in datasets.items():
         trains[name], tests[name] = split(ds, TRAIN_FRACTION, seed)
-    return trains, tests, merge(list(trains.values()))
+    merged = merge(list(trains.values()))
+    violations = audit_no_leakage({**trains, MERGED: merged}, tests)
+    if violations:
+        raise RuntimeError(f"train/test leakage detected in cells {violations}")
+    return trains, tests, merged
 
 
 def _fit_model(
@@ -175,11 +181,6 @@ def run_matrix(
     source = datasets[names[0]].source
     trains, tests, merged = _split_all(datasets, seed)
     train_by_model = {**trains, MERGED: merged}
-
-    violations = audit_no_leakage(train_by_model, tests)
-    if violations:
-        raise RuntimeError(f"train/test leakage detected in cells {violations}")
-
     models = {m: _fit_model(scheme, d, cfg) for m, d in train_by_model.items()}
 
     cells = []
@@ -235,7 +236,8 @@ def learning_curve(
     """
     check_curve(fractions, repeats)
     check_vehicles(datasets, "learning curve", vehicle)
-    train, test = split(datasets[vehicle], TRAIN_FRACTION, seed)
+    trains, tests, _ = _split_all({vehicle: datasets[vehicle]}, seed)
+    train, test = trains[vehicle], tests[vehicle]
     actual = _actual_pose(test)
     points = []
     for fi, frac in enumerate(fractions):

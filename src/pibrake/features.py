@@ -38,8 +38,6 @@ from .dimensions import (
 
 LATERAL_RATIO_CAP = 1e3
 
-SCHEME_NAMES = ("baseline", "normalized", "pca2", "pca3", "augmented", "pi", "pi-aug", "pi-fillers")
-
 
 @dataclass
 class FeatureMatrix:
@@ -132,6 +130,7 @@ _SCHEME_INPUTS = {
         src: {**cols, "v_i": itemgetter("v_i"), "l": itemgetter("l")} for src, cols in _GROUP_INPUTS.items()
     },
 }
+SCHEME_NAMES = tuple(_SCHEME_INPUTS)
 
 
 class MaxAbsNormalizer:
@@ -199,6 +198,8 @@ class PcaTransform:
         return FeatureMatrix(z @ self.components)
 
 
+# scheme -> factory of the transform fitted to its input columns, where it has one
+_TRANSFORMS = {"normalized": MaxAbsNormalizer, "pca2": lambda: PcaTransform(2), "pca3": lambda: PcaTransform(3)}
 _PI_SCHEMES = ("pi", "pi-aug", "pi-fillers")
 
 
@@ -221,15 +222,13 @@ class Pipeline:
         return FeatureMatrix(np.column_stack([f(row) for f in exprs.values()]))
 
     def fit(self, train: Dataset) -> "Pipeline":
-        if self.scheme == "normalized":
-            self._transform = MaxAbsNormalizer().fit(self._raw_inputs(train))
-        elif self.scheme in ("pca2", "pca3"):
-            self._transform = PcaTransform(int(self.scheme[-1])).fit(self._raw_inputs(train))
+        if self.scheme in _TRANSFORMS:
+            self._transform = _TRANSFORMS[self.scheme]().fit(self._raw_inputs(train))
         return self
 
     def input_matrix(self, d: Dataset) -> FeatureMatrix:
         m = self._raw_inputs(d)
-        if self.scheme not in ("normalized", "pca2", "pca3"):
+        if self.scheme not in _TRANSFORMS:
             return m
         if self._transform is None:
             raise RuntimeError(f"scheme {self.scheme!r} must be fit before transform")

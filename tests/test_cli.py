@@ -3,7 +3,8 @@ from pathlib import Path
 import pytest
 
 from pibrake.cli import _resolve_config, build_parser, main
-from pibrake.dataset import load_csv
+from pibrake.config import RunConfig, load_run_config
+from pibrake.dataset import GRIDS, SOURCES, load_csv
 
 TINY_CONF = """
 [run]
@@ -80,6 +81,8 @@ def test_gen_writes_datasets(conf, tmp_path, capsys):
         ("kinematic", "grid.kinematic", "a_g = 0.0, 1.0, 3"),
         ("kinematic", "grid.kinematic", "delta = 0.0, 1.6, 3"),
         ("surrogate", "grid.surrogate", "mu = 2.0"),
+        ("kinematic", "grid.kinematic", "v_i = 1.0, 1.0, 4"),
+        ("surrogate", "grid.surrogate", "delta = 0.0, 0.0"),
     ],
 )
 def test_gen_with_a_bad_grid_axis_fails_and_writes_nothing(tmp_path, capsys, source, section, line):
@@ -90,6 +93,20 @@ def test_gen_with_a_bad_grid_axis_fails_and_writes_nothing(tmp_path, capsys, sou
     err = capsys.readouterr().err
     assert str(conf) in err and f"[{section}] {line.split()[0]}" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_default_grid_as_config_text_reads_back_and_gens_the_same_bytes(tmp_path, source):
+    lines = [f"{axis} = {', '.join(map(repr, spec))}" for axis, spec in GRIDS[source].items()]
+    conf = tmp_path / "grid.conf"
+    conf.write_text(f"[grid.{source}]\n" + "\n".join(lines) + "\n")
+    assert load_run_config(conf).grids == RunConfig().grids
+    vehicles = tmp_path / "vehicles.conf"
+    vehicles.write_text("[vehicles]\nsmall = 0.345, 37.77, 28.84\n")
+    for out, config in (("table", []), ("text", ["--config", conf])):
+        assert run("gen", *config, "--vehicles", vehicles, "--source", source, "--out", tmp_path / out) == 0
+    csv = Path("data", source, "small.csv")
+    assert (tmp_path / "text" / csv).read_bytes() == (tmp_path / "table" / csv).read_bytes()
 
 
 def test_gen_surrogate_counts(conf, tmp_path, capsys):

@@ -71,9 +71,9 @@ F = M L T^-2
     assert cfg.repeats == 3
     assert cfg.target_vehicle == "one"
     assert cfg.target_output == "theta"
-    assert cfg.kinematic_grid["v_i"] == (0.5, 2.0, 4)
-    assert cfg.kinematic_grid["a_g"] == RunConfig().kinematic_grid["a_g"]  # untouched default
-    assert cfg.surrogate_grid["mu"] == (0.3, 0.6)
+    assert cfg.grids["kinematic"]["v_i"] == (0.5, 2.0, 4)
+    assert cfg.grids["kinematic"]["a_g"] == RunConfig().grids["kinematic"]["a_g"]  # untouched default
+    assert cfg.grids["surrogate"]["mu"] == (0.3, 0.6)
     assert cfg.variables[0].name == "F"
     assert cfg.variables[0].dimension == FORCE
 
@@ -112,6 +112,10 @@ def test_bad_vehicle_line(tmp_path):
         ("[variables]\nx = L^y\n", ["[variables] x", "'y'"]),
         ("[run]\nseed = -1\n", ["[run] seed", "must be >= 0, got -1"]),
         ("[compare]\noutput = Z\n", ["[compare] output", "'Z'", "('X', 'Y', 'theta')"]),
+        ("[grid.kinematic]\nv_i = 1.0, 1.0, 4\n", ["[grid.kinematic] v_i", "repeats a value", "'1.0, 1.0, 4'"]),
+        ("[grid.surrogate]\nmu = 0.2, 0.4, 0.2\n", ["[grid.surrogate] mu", "repeats a value"]),
+        ("[grid.kinematic]\na_g = 0.5, -0.5, 3\n", ["[grid.kinematic] a_g", "-0.5 is out of range"]),
+        ("[grid.kinematic]\nv_i = 1.0, inf, 3\n", ["[grid.kinematic] v_i", "finite", "'1.0, inf, 3'"]),
     ],
 )
 def test_unknown_or_invalid_entries_rejected(tmp_path, text, names):
@@ -128,8 +132,8 @@ def test_grid_axis_range_checks_only_the_values_taken(tmp_path):
     # a one-point linspace takes only its start; every listed value is checked
     path.write_text("[grid.kinematic]\nv_i = 1.0, 0.0, 1\n[grid.surrogate]\nmu = 0.2, 1.5\ndelta = -0.5, 0.5\n")
     cfg = load_run_config(path)
-    assert cfg.kinematic_grid["v_i"] == (1.0, 0.0, 1)
-    assert cfg.surrogate_grid["mu"] == (0.2, 1.5)
+    assert cfg.grids["kinematic"]["v_i"] == (1.0, 0.0, 1)
+    assert cfg.grids["surrogate"]["mu"] == (0.2, 1.5)
     path.write_text("[grid.surrogate]\ndelta = 0.5, -1.6\n")
     with pytest.raises(ValueError, match=r"\[grid.surrogate\] delta: -1.6 is out of range: .*\|delta\| < pi/2"):
         load_run_config(path)

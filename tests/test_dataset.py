@@ -195,11 +195,12 @@ def test_grid_override():
         ("mu", "5.0", "friction coefficient mu in"),
         ("mu", "0.0", "friction coefficient mu in"),
         ("mu", "", "friction coefficient mu in"),
+        ("mu", "5.0", "mu must be empty on kinematic rows"),
     ],
 )
 def test_load_rejects_invalid_rows(tmp_path, field, value, message):
-    # mu is checked on surrogate rows only
-    if field == "mu":
+    # mu is checked against its rule on surrogate rows, and must be empty on kinematic rows
+    if field == "mu" and "kinematic" not in message:
         ds = surrogate_grid(SMALL, seed=0, grid=TINY_SUR_GRID)
     else:
         ds = kinematic_grid(SMALL, grid=TINY_KIN_GRID)

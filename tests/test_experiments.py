@@ -93,6 +93,20 @@ def test_audit_catches_overlap(tiny_datasets):
     assert audit_no_leakage({"m": dirty}, {"small": test}) == [("m", "small")]
 
 
+@pytest.mark.parametrize("study", ["matrix", "curve", "compare"])
+def test_every_study_rejects_a_test_row_it_trains_on(tiny_datasets, study):
+    datasets = dict(tiny_datasets)
+    # every row of "small" twice: some row lands in both its training and its test split
+    datasets["small"] = merge([datasets["small"], datasets["small"]])
+    with pytest.raises(RuntimeError, match=r"train/test leakage detected in cells \[.*\('small', 'small'\)"):
+        if study == "matrix":
+            run_matrix(datasets, "pi", FAST_CFG, seed=0)
+        elif study == "curve":
+            learning_curve(datasets, "pi", "small", [1.0], repeats=1, cfg=FAST_CFG, seed=0)
+        else:
+            comparative_study(datasets, "small", "Y", FAST_CFG, seed=0, schemes=("pi",))
+
+
 def test_audit_key_covers_vehicle_geometry():
     grid = {"v_i": (1.0, 2.0, 2), "a_g": (0.5, 1.0, 2), "delta": (0.0, 0.3, 2)}
     short = kinematic_grid(VehicleSpec("v", 0.3, 10.0, 10.0), step=1e-3, grid=grid)
