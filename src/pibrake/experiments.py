@@ -146,20 +146,20 @@ def _split_all(
 
 def _fit_model(
     scheme: str, train: Dataset, cfg: GbtConfig, outputs: Sequence[int] = (0, 1, 2)
-) -> tuple[Pipeline, tuple[Ensemble, ...]]:
-    """One ensemble per requested target column, all fit with the same ``cfg``."""
+) -> tuple[Pipeline, Ensemble]:
+    """One ensemble over the requested target columns, fit in one call."""
     pipe = make_pipeline(scheme).fit(train)
     x = pipe.input_matrix(train).values
     y = pipe.target_matrix(train)
-    return pipe, tuple(gbt.fit(x, y[:, j], cfg) for j in outputs)
+    return pipe, gbt.fit(x, y[:, list(outputs)], cfg)
 
 
 def _predict_physical(
-    pipe: Pipeline, ensembles: Sequence[Ensemble], test: Dataset, outputs: Sequence[int] = (0, 1, 2)
+    pipe: Pipeline, ensemble: Ensemble, test: Dataset, outputs: Sequence[int] = (0, 1, 2)
 ) -> np.ndarray:
     """(n, len(outputs)) predictions for the test rows, in physical units."""
     x = pipe.input_matrix(test).values
-    return pipe.inverse_targets(np.column_stack([e.predict(x) for e in ensembles]), test, outputs)
+    return pipe.inverse_targets(ensemble.predict(x), test, outputs)
 
 
 def _actual_pose(test: Dataset) -> np.ndarray:
@@ -184,9 +184,9 @@ def run_matrix(
     models = {m: _fit_model(scheme, d, cfg) for m, d in train_by_model.items()}
 
     cells = []
-    for model_name, (pipe, ensembles) in models.items():
+    for model_name, (pipe, ensemble) in models.items():
         for data_name, test in tests.items():
-            predicted = _predict_physical(pipe, ensembles, test)
+            predicted = _predict_physical(pipe, ensemble, test)
             mx, my, mth = mae(_actual_pose(test), predicted)
             cells.append(PredictionCell(model_name, data_name, mx, my, mth))
 
@@ -257,8 +257,8 @@ def learning_curve(
                 rng = np.random.default_rng([seed, fi, rep])
                 idx = np.sort(rng.choice(len(train), size=m, replace=False))
                 sub = train.take(idx)
-            pipe, ensembles = _fit_model(scheme, sub, cfg)
-            maes[rep] = mae(actual, _predict_physical(pipe, ensembles, test))
+            pipe, ensemble = _fit_model(scheme, sub, cfg)
+            maes[rep] = mae(actual, _predict_physical(pipe, ensemble, test))
         mx, my, mth = maes.mean(axis=0)
         points.append(CurvePoint(float(frac), float(mx), float(my), float(mth)))
     return points
@@ -310,8 +310,8 @@ def comparative_study(
     for scheme in schemes:
         row = {}
         for label, train_ds in sources.items():
-            pipe, ensembles = _fit_model(scheme, train_ds, cfg, (col,))
-            physical = _predict_physical(pipe, ensembles, test, (col,))[:, 0]
+            pipe, ensemble = _fit_model(scheme, train_ds, cfg, (col,))
+            physical = _predict_physical(pipe, ensemble, test, (col,))[:, 0]
             row[label] = float(np.mean(np.abs(actual - physical)))
         study.rows[scheme] = row
     return study

@@ -2,17 +2,25 @@
 
 Boosting is plain residual fitting: the model starts from the training-target
 mean and each round adds ``learning_rate`` times a depth-limited regression
-tree fit to the current residuals.  Splits are found by an exact scan over
-the sorted unique values of every feature (no histogramming), minimizing the
-children's squared error; ties are broken by lowest feature index, then
-lowest threshold.
+tree fit to the current residuals.  One fit takes one target column or T of
+them: round k grows the T columns' trees together, level by level, and a
+T-column fit gives the same trees as T one-column fits.
 
-Determinism is taken seriously: training rows are put into a canonical order
-(lexicographic in the feature columns, then the target) before anything else
-happens, so fitting is bit-for-bit invariant under row permutation.  The
-learner draws no random numbers: one config and one training set give one
-model, bit for bit, regardless of thread count.  Every tree sees every
-training row.
+Sums are exact.  Each tree's residuals are rounded to integers at a
+power-of-two scale chosen so that every sum over a subset of its rows is an
+integer below 2^52, exact in float64 in any order of addition (integer-
+quantized gradients, after Shi et al. 2022, arXiv:2207.09682).  Each feature
+is binned by its sorted unique values, one ``np.unique`` per fit.  Per level,
+one histogram of counts and sums covers the open nodes of all T trees on
+every feature (histogram split finding, after Chen & Guestrin 2016,
+arXiv:1603.02754).  A split minimizes the children's squared error; ties go
+to the lowest feature index, then the lowest threshold, which is the next
+value present in the node.
+
+Determinism is taken seriously: exact sums make fitting bit-for-bit
+invariant under row permutation.  The learner draws no random numbers: one
+config and one training set give one model, bit for bit, regardless of
+thread count.  Every tree sees every training row.
 """
 
 from __future__ import annotations
@@ -61,77 +69,190 @@ class RegressionTree:
         self.value = np.asarray(value, dtype=float)
 
 
-def _best_split(x: np.ndarray, resid: np.ndarray, orders: list[np.ndarray], msl: int):
-    """Exact scan for the SSE-minimizing (feature, threshold) over a node.
-
-    ``orders[f]`` holds the node's row indices sorted by feature f (stable in
-    the canonical row order), which fixes the prefix-sum order.  Returns
-    (feature, threshold) or None.  The candidate score for a left size i is
-    ls^2/i + rs^2/(n-i); the parent score total^2/n is the bar a split must
-    strictly beat.
-    """
-    n = orders[0].size
-    best_score = -np.inf
-    best: tuple[int, float] | None = None
-    sizes = np.arange(1, n)
-    for f, order in enumerate(orders):
-        vs = x[order, f]
-        valid = (vs[1:] > vs[:-1]) & (sizes >= msl) & ((n - sizes) >= msl)
-        if not valid.any():
-            continue
-        csum = np.cumsum(resid[order])
-        ls = csum[:-1]
-        total = csum[-1]
-        rs = total - ls
-        score = np.where(valid, ls * ls / sizes + rs * rs / (n - sizes), -np.inf)
-        j = int(np.argmax(score))
-        parent = total * total / n
-        if score[j] > parent and score[j] > best_score:
-            best_score = float(score[j])
-            best = (f, float(vs[j + 1]))
-    return best
+# (open node, histogram column) cells one split-search pass covers; bounds its work arrays
+SPLIT_CELLS = 2**18
 
 
-def _build_tree(
-    x: np.ndarray,
-    resid: np.ndarray,
-    root_orders: list[np.ndarray],
-    cfg: GbtConfig,
-    leaf_out: np.ndarray,
-) -> RegressionTree:
-    """Grow one tree on the rows of ``root_orders``; each row's leaf value goes to ``leaf_out``."""
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    value: list[float] = []
+class _Grower:
+    """Grows one round's trees, one per target column, level by level.
 
-    def node(orders: list[np.ndarray], depth: int) -> int:
-        nid = len(feature)
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(0.0)
-        y = resid[orders[0]]
-        n = y.size
-        found = None
-        if depth < cfg.max_depth and n >= 2 * cfg.min_samples_leaf and y.min() < y.max():
-            found = _best_split(x, resid, orders, cfg.min_samples_leaf)
-        if found is None:
-            value[nid] = float(np.sum(y)) / n  # summation order fixed by orders[0]
-            leaf_out[orders[0]] = value[nid]
-            return nid
-        f, thr = found
-        feature[nid] = f
-        threshold[nid] = thr
-        go_left = [x[o, f] < thr for o in orders]
-        left[nid] = node([o[m] for o, m in zip(orders, go_left)], depth + 1)
-        right[nid] = node([o[~m] for o, m in zip(orders, go_left)], depth + 1)
-        return nid
+    The work is held as (tree, row) pairs: every tree sees every row.  Each
+    feature owns a segment of histogram columns, a leading empty column and
+    then one per bin, so ``column[f, i]`` is row i's column on feature f.
+    The pair-sized and histogram-sized work arrays are allocated once per fit
+    and filled in place, so a round asks the allocator for no large blocks."""
 
-    node(root_orders, 0)
-    return RegressionTree(feature, threshold, left, right, value)
+    def __init__(self, values: list[np.ndarray], codes: list[np.ndarray], n_trees: int, cfg: GbtConfig):
+        self.cfg = cfg
+        widths = [len(v) + 1 for v in values]
+        self.starts = np.cumsum([0] + widths)
+        self.column = np.stack([s + 1 + c for s, c in zip(self.starts, codes)])
+        # a split at column c sends a row right when its column is above c; its
+        # feature and threshold (the bin after c) come from these tables
+        self.feature_at = np.repeat(np.arange(len(values)), widths)
+        self.threshold_at = np.concatenate([np.append(v, np.nan) for v in values])
+        p, n = self.column.shape
+        self.node = np.empty((n_trees, n), dtype=np.intp)  # each pair's node, numbered across the round
+        self.label = np.empty((n_trees, n), dtype=np.intp)  # each pair's open node; n_open once closed
+        self.aux = np.empty((n_trees, n), dtype=np.intp)
+        self.keys = np.empty((p, n_trees, n), dtype=np.intp)  # each (feature, pair)'s cell
+        self.q = np.empty((p, n_trees, n))  # each pair's residual, once per feature
+        self.hist = np.empty((4, 0))  # counts, sums and two scratch rows over (open node, column) cells
+        self.good = np.empty(0, dtype=bool)
+
+    def _cells(self, n_open: int) -> list[np.ndarray]:
+        width = self.starts[-1]
+        size = (n_open + 1) * width
+        if self.hist.shape[1] < size:
+            self.hist = np.empty((4, size))
+            self.good = np.empty(size, dtype=bool)
+        hc, hs, score, rc = (h[:size].reshape(n_open + 1, width) for h in self.hist)
+        good = self.good[: n_open * (width - 1)].reshape(n_open, width - 1)
+        return [hc, hs, score[:n_open, :-1], rc[:n_open, :-1], good]
+
+    def _search(self, count, total):
+        """Best split of each open node: its column (-1 for none), left count and left sum."""
+        group = max(1, SPLIT_CELLS // self.starts[-1] - 1)
+        found = [
+            self._search_nodes(start, count[start : start + group], total[start : start + group])
+            for start in range(0, len(count), group)
+        ]
+        return tuple(np.concatenate(parts) for parts in zip(*found))
+
+    def _search_nodes(self, start, count, total):
+        """``_search`` over the open nodes from ``start`` on, as many as ``count`` has."""
+        msl = self.cfg.min_samples_leaf
+        n_open = len(count)
+        hc, hs, score, rc, good = self._cells(n_open)
+        # the pairs of other nodes fill a spare last row
+        keys, local = self.keys, self.aux
+        np.subtract(self.label, start, out=local)
+        np.copyto(local, n_open, where=(local < 0) | (local > n_open))
+        local *= self.starts[-1]
+        np.add(local, self.column[:, None, :], out=keys)
+        hc.fill(0.0)
+        hs.fill(0.0)
+        np.add.at(hc.ravel(), keys.ravel(), 1.0)
+        np.add.at(hs.ravel(), keys.ravel(), self.q.ravel())
+        hc, hs = hc[:n_open], hs[:n_open]
+        # running sums within each feature's segment: column c then holds the
+        # count and sum of the node's rows at or below c
+        for a, b in zip(self.starts[:-1], self.starts[1:]):
+            np.cumsum(hc[:, a:b], axis=1, out=hc[:, a:b])
+            np.cumsum(hs[:, a:b], axis=1, out=hs[:, a:b])
+        lc, ls = hc[:, :-1], hs[:, :-1]
+        # a split at c keeps a bin present after c and min_samples_leaf rows
+        # on each side; a segment's last column sees the next one's empty start
+        np.greater(hc[:, 1:], lc, out=good)
+        np.subtract(count[:, None], lc, out=rc)
+        np.greater_equal(lc, msl, out=good, where=good)
+        np.greater_equal(rc, msl, out=good, where=good)
+        score.fill(-np.inf)
+        np.multiply(ls, ls, out=score, where=good)
+        np.divide(score, lc, out=score, where=good)
+        rs = lc  # the left counts are spent: a winner's is count - rc
+        np.subtract(total[:, None], ls, out=rs, where=good)
+        np.multiply(rs, rs, out=rs, where=good)
+        np.divide(rs, rc, out=rs, where=good)
+        np.add(score, rs, out=score, where=good)
+        # the first maximum: lowest feature, then lowest threshold; it must
+        # strictly beat the parent's score
+        at = np.argmax(score, axis=1)
+        nodes = np.arange(n_open)
+        won = score[nodes, at] > total * total / count
+        return np.where(won, at, -1), count - rc[nodes, at], ls[nodes, at]
+
+    def grow(self, q: np.ndarray, shift: np.ndarray) -> list[RegressionTree]:
+        """One tree per row of the exact residuals ``q`` (T, n), scaled by 2^shift;
+        each pair's leaf value then overwrites its residual in ``q``."""
+        cfg = self.cfg
+        msl = cfg.min_samples_leaf
+        n_trees, n = q.shape
+        node, label, aux, key = self.node, self.label, self.aux, self.keys[0]
+        column = self.column.ravel()
+        rows = np.arange(n)
+        self.q[:] = q
+
+        # the level's nodes; the roots first, tree t's root is round node t
+        tree = np.arange(n_trees)
+        count = np.full(n_trees, float(n))
+        total = q.sum(axis=1)
+        node[:] = tree[:, None]
+        # a root opens on unequal residuals (n >= 2 * min_samples_leaf and max_depth >= 1 hold)
+        opened = np.flatnonzero(q.min(axis=1) < q.max(axis=1))
+        n_nodes = np.ones(n_trees, dtype=np.intp)
+        first = 0  # round number of the level's first node
+        levels = []
+        for depth in range(cfg.max_depth + 1):
+            size = len(tree)
+            split_at = np.full(size, -1)
+            lo_id = np.full(size, -1)
+            hi_id = np.full(size, -1)
+            levels.append((tree, count, total, split_at, lo_id, hi_id))
+            n_open = len(opened)
+            if not n_open:
+                break
+            lookup = np.full(first + size, n_open)
+            lookup[first + opened] = np.arange(n_open)
+            np.take(lookup, node, out=label)
+            s_at, s_lc, s_ls = self._search(count[opened], total[opened])
+            split = s_at >= 0
+            at = opened[split]
+            if not at.size:
+                break
+            # children, left then right, numbered per tree after every node so far
+            ctree = np.repeat(tree[at], 2)
+            cnid = n_nodes[ctree] + np.arange(2 * at.size) - np.searchsorted(ctree, ctree)
+            n_nodes += np.bincount(ctree, minlength=n_trees)
+            split_at[at] = s_at[split]
+            lo_id[at] = cnid[0::2]
+            hi_id[at] = cnid[1::2]
+            s_lc, s_ls = s_lc[split], s_ls[split]
+            ccount = np.column_stack([s_lc, count[at] - s_lc]).ravel()
+            ctotal = np.column_stack([s_ls, total[at] - s_ls]).ravel()
+
+            # each pair of a split node moves to its left child, or to the right
+            # one when its column on the split's feature lies above the split's
+            # column; the pairs of the other open nodes stay.  The last entry
+            # of each table serves the closed nodes' pairs, which do not move.
+            nxt = first + size  # round number of the first child
+            width = len(self.feature_at)
+            cut = np.append(np.where(split, s_at, width), width)
+            feat = self.feature_at[np.minimum(cut, width - 1)]
+            dest = np.append(np.where(split, nxt + 2 * (np.cumsum(split) - 1), first + opened), 0)
+            np.take(feat, label, out=aux)
+            aux *= n
+            aux += rows
+            np.take(column, aux, out=key)
+            np.take(cut, label, out=aux)
+            go_right = key > aux
+            np.take(dest, label, out=key)
+            key += go_right
+            np.copyto(node, key, where=label < n_open)
+
+            # a child opens below max_depth with room for two leaves and unequal residuals
+            opens = (depth + 1 < cfg.max_depth) & (ccount >= 2 * msl)
+            if opens.any():
+                np.subtract(node, nxt, out=key)
+                np.copyto(key, 2 * at.size, where=key < 0)
+                lo = np.full(2 * at.size + 1, np.inf)
+                hi = np.full(2 * at.size + 1, -np.inf)
+                np.minimum.at(lo, key.ravel(), q.ravel())
+                np.maximum.at(hi, key.ravel(), q.ravel())
+                opens &= lo[:-1] < hi[:-1]
+            opened = np.flatnonzero(opens)
+            tree, count, total, first = ctree, ccount, ctotal, nxt
+
+        tree, count, total, split_at, left, right = map(np.concatenate, zip(*levels))
+        leaf = split_at < 0
+        feature = np.where(leaf, -1, self.feature_at[split_at])
+        threshold = np.where(leaf, 0.0, self.threshold_at[split_at])
+        value = np.where(leaf, np.ldexp(total, -shift[tree]) / count, 0.0)
+        np.take(value, node, out=q)
+        order = np.argsort(tree, kind="stable")  # each tree's nodes in creation order: its numbering
+        bounds = np.cumsum(n_nodes)[:-1]
+        parts = (np.split(c[order], bounds) for c in (feature, threshold, left, right, value))
+        return [RegressionTree(*p) for p in zip(*parts)]
 
 
 # trees x rows one chunk of the predictor walks at once; bounds its work arrays
@@ -142,11 +263,14 @@ PREDICT_CELLS = 8192
 class Ensemble:
     """base_score plus learning_rate-weighted sum of tree outputs.
 
-    Built by ``fit``, whose pre-order numbering puts each split's children
-    after it inside its own tree; ``predict`` raises on a walk that ends
-    off a leaf."""
+    With one target column ``base_score`` is a float and ``predict`` returns
+    shape (n,).  With T columns it is an array of T, ``predict`` returns
+    (n, T), and the trees are round-major: tree i belongs to output i % T.
+    Built by ``fit``, which numbers each tree's nodes level by level, so each
+    split's children come after it inside its own tree; ``predict`` raises
+    on a walk that ends off a leaf."""
 
-    base_score: float
+    base_score: float | np.ndarray
     trees: list[RegressionTree]
     config: GbtConfig
     n_features: int
@@ -160,7 +284,10 @@ class Ensemble:
         n, p = x.shape
         x_flat = x.ravel()
         row_start = np.arange(n) * p
-        out = np.full(n, self.base_score)
+        base = np.asarray(self.base_score, dtype=float)
+        n_out = base.size
+        out = np.empty((n, n_out))
+        out[:] = base.ravel()
         chunk = max(1, PREDICT_CELLS // max(n, 1))
         for start in range(0, len(self.trees), chunk):
             trees = self.trees[start : start + chunk]
@@ -180,19 +307,20 @@ class Ensemble:
                 node = np.where(go_left, left[node], right[node])
             if not leaf[node].all():
                 raise ValueError(f"a tree is deeper than its max_depth={self.config.max_depth}")
-            # tree outputs join the sum one tree at a time, in tree order
+            # tree outputs join their output's sum one tree at a time, in tree order
             values = np.concatenate([t.value for t in trees])
-            for leaf_value in values[node]:
-                out += self.config.learning_rate * leaf_value
-        return out
+            for i, leaf_value in enumerate(values[node], start):
+                out[:, i % n_out] += self.config.learning_rate * leaf_value
+        return out if base.ndim else out[:, 0]
 
 
 def fit(x: np.ndarray, y: np.ndarray, cfg: GbtConfig = GbtConfig()) -> Ensemble:
-    """Boost cfg.n_rounds trees onto the residuals of a squared-loss model."""
+    """Boost cfg.n_rounds trees per column of ``y`` ((n,) or (n, T)) onto the
+    residuals of a squared-loss model."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    n = x.shape[0] if x.ndim == 2 else 0
-    if n == 0 or y.shape != (n,):
+    n = x.shape[0] if x.ndim == 2 and x.shape[1] else 0
+    if n == 0 or y.ndim not in (1, 2) or y.shape[0] != n or y.size == 0:
         raise ValueError(f"need matching nonempty x and y, got {x.shape} and {y.shape}")
     if n < 2 * cfg.min_samples_leaf:
         raise ValueError(f"need at least {2 * cfg.min_samples_leaf} rows, got {n}")
@@ -201,19 +329,24 @@ def fit(x: np.ndarray, y: np.ndarray, cfg: GbtConfig = GbtConfig()) -> Ensemble:
     if not np.isfinite(y).all():
         raise ValueError("targets contain non-finite values")
 
-    # canonical row order (lexicographic in features, then target) makes every
-    # later step independent of how the caller ordered the rows
     p = x.shape[1]
-    canon = np.lexsort(tuple([y] + [x[:, f] for f in range(p - 1, -1, -1)]))
-    x = np.asfortranarray(x[canon])
-    y = y[canon]
-    full_orders = [np.argsort(x[:, f], kind="stable") for f in range(p)]
-
-    base = _ordered_sum(y) / n
-    pred = np.full(n, base)
+    bins = [np.unique(x[:, f], return_inverse=True) for f in range(p)]
+    targets = y.reshape(n, -1).T  # (T, n)
+    n_trees = targets.shape[0]
+    base = np.array([_ordered_sum(t) for t in targets]) / n
+    pred = np.repeat(base[:, None], n, axis=1)
+    grower = _Grower([v for v, _ in bins], [c for _, c in bins], n_trees, cfg)
+    # |q| <= 2^(52 - k) with n < 2^k, so every subset sum is an integer below 2^52
+    k = n.bit_length()
     trees: list[RegressionTree] = []
-    tree_pred = np.empty(n)
+    q = np.empty_like(pred)
     for _ in range(cfg.n_rounds):
-        trees.append(_build_tree(x, y - pred, full_orders, cfg, tree_pred))
-        pred += cfg.learning_rate * tree_pred
-    return Ensemble(base, trees, cfg, n_features=p)
+        np.subtract(targets, pred, out=q)
+        e = np.frexp(np.maximum(q.max(axis=1), -q.min(axis=1)))[1]  # max|r| < 2^e
+        shift = 52 - e - k
+        np.ldexp(q, shift[:, None], out=q)
+        np.rint(q, out=q)
+        trees.extend(grower.grow(q, shift))
+        q *= cfg.learning_rate
+        pred += q
+    return Ensemble(float(base[0]) if y.ndim == 1 else base, trees, cfg, n_features=p)

@@ -38,16 +38,20 @@ MU_MAX = 1.5
 
 # maneuver input -> (test on a number or a numpy column, rule); every boundary
 # that takes an input checks this rule: ManeuverInput, the batch kernel, the
-# surrogate's saturation, Dataset and the config grid axes
+# surrogate's saturation, Dataset and the config grid axes.  Every rule rejects
+# inf and nan; the ranges of delta and mu are bounded, so they do without isfinite
 INPUT_RULES = {
-    "v_i": (lambda v: v > 0, "initial speed must be positive"),
-    "a": (lambda a: a < 0, "deceleration must be negative: a maneuver that does not brake never terminates"),
+    "v_i": (lambda v: (v > 0) & np.isfinite(v), "initial speed must be positive and finite"),
+    "a": (
+        lambda a: (a < 0) & np.isfinite(a),
+        "deceleration must be negative and finite: a maneuver that does not brake never terminates",
+    ),
     "delta": (lambda d: abs(d) < DELTA_LIMIT, "steering angle must satisfy |delta| < pi/2"),
     "mu": (
         lambda mu: (0 < mu) & (mu <= MU_MAX),
         f"the surrogate needs a friction coefficient mu in (0, {MU_MAX}]",
     ),
-    "g": (lambda g: g > 0, "gravity must be positive"),
+    "g": (lambda g: (g > 0) & np.isfinite(g), "gravity must be positive and finite"),
 }
 
 

@@ -116,6 +116,8 @@ def test_bad_vehicle_line(tmp_path):
         ("[grid.surrogate]\nmu = 0.2, 0.4, 0.2\n", ["[grid.surrogate] mu", "repeats a value"]),
         ("[grid.kinematic]\na_g = 0.5, -0.5, 3\n", ["[grid.kinematic] a_g", "-0.5 is out of range"]),
         ("[grid.kinematic]\nv_i = 1.0, inf, 3\n", ["[grid.kinematic] v_i", "finite", "'1.0, inf, 3'"]),
+        # finite as written, but a = -g * a_g overflows to -inf
+        ("[grid.kinematic]\na_g = 1e308, 1e308, 1\n", ["[grid.kinematic] a_g", "out of range", "finite"]),
     ],
 )
 def test_unknown_or_invalid_entries_rejected(tmp_path, text, names):

@@ -141,8 +141,8 @@ def test_learning_curve_fits_the_whole_split_once(tiny_datasets, monkeypatch):
 
     monkeypatch.setattr(gbt, "fit", counting_fit)
     assert learning_curve(tiny_datasets, "pi", "small", **kw) == before
-    # 3 subsets at 0.5 plus one model of the whole split, 3 outputs each
-    assert len(calls) == (3 + 1) * 3
+    # 3 subsets at 0.5 plus one model of the whole split, each fit on its 3 outputs at once
+    assert len(calls) == 3 + 1
 
 
 def test_learning_curve_validation(tiny_datasets):

@@ -133,6 +133,61 @@ def test_fit_input_validation():
     x[3, 1] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         fit(x, np.zeros(20), GbtConfig())
+    # several target columns: none, too few rows, a NaN in one column
+    with pytest.raises(ValueError, match="matching nonempty"):
+        fit(np.ones((20, 2)), np.zeros((20, 0)), GbtConfig())
+    with pytest.raises(ValueError, match="matching nonempty"):
+        fit(np.ones((20, 2)), np.zeros((19, 3)), GbtConfig())
+    y = np.zeros((20, 3))
+    y[7, 2] = np.nan
+    with pytest.raises(ValueError, match="targets contain non-finite"):
+        fit(np.ones((20, 2)), y, GbtConfig())
+
+
+def _same_trees(a, b):
+    fields = ("feature", "threshold", "left", "right", "value")
+    return all(np.array_equal(getattr(a, k), getattr(b, k)) for k in fields)
+
+
+def test_lockstep_fit_equals_one_column_fits():
+    rng = np.random.default_rng(13)
+    n = 240
+    # tied feature values and one constant target column
+    x = np.column_stack([rng.choice(np.linspace(0, 1, 9), n), rng.normal(size=n), rng.integers(0, 4, n)])
+    y = np.column_stack(
+        [np.sin(3 * x[:, 0]) + 0.2 * x[:, 1], np.full(n, 0.7), x[:, 1] * x[:, 2] + rng.normal(0, 0.1, n)]
+    )
+    cfg = GbtConfig(n_rounds=25, max_depth=4, min_samples_leaf=3)
+    joint = fit(x, y, cfg)
+    singles = [fit(x, y[:, t], cfg) for t in range(3)]
+    assert len(joint.trees) == 3 * cfg.n_rounds
+    np.testing.assert_array_equal(joint.base_score, [e.base_score for e in singles])
+    # round-major: tree i belongs to output i % 3
+    for i, tree in enumerate(joint.trees):
+        assert _same_trees(tree, singles[i % 3].trees[i // 3])
+    assert all(len(t.feature) == 1 for t in joint.trees[1::3])  # the constant column never splits
+    assert all(len(t.feature) > 1 for t in joint.trees[0::3])
+    probe = np.vstack([x[:30], rng.normal(size=(20, 3))])
+    got = joint.predict(probe)
+    assert got.shape == (50, 3)
+    for t, e in enumerate(singles):
+        np.testing.assert_array_equal(got[:, t], e.predict(probe))
+    perm = rng.permutation(n)
+    shuffled = fit(x[perm], y[perm], cfg)
+    assert all(_same_trees(a, b) for a, b in zip(shuffled.trees, joint.trees))
+    np.testing.assert_array_equal(shuffled.predict(probe), got)
+
+
+def test_split_search_in_node_groups_gives_the_same_trees(monkeypatch):
+    rng = np.random.default_rng(14)
+    x = rng.uniform(0, 1, (300, 2))
+    y = np.column_stack([np.sin(4 * x[:, 0]), x[:, 0] * x[:, 1]])
+    cfg = GbtConfig(n_rounds=8, max_depth=5, min_samples_leaf=2)
+    whole = fit(x, y, cfg)
+    # 2 features of 300 distinct values: 602 columns, so 3 open nodes per pass
+    monkeypatch.setattr(gbt, "SPLIT_CELLS", 4 * 602)
+    grouped = fit(x, y, cfg)
+    assert all(_same_trees(a, b) for a, b in zip(grouped.trees, whole.trees))
 
 
 def test_min_samples_leaf_respected():

@@ -15,6 +15,7 @@ from pibrake.simulator import (
     VehicleSpec,
     analytic_arc_oracle,
     calibrate_step,
+    check_inputs,
     record_noise_seed,
     simulate_dynamic_surrogate,
     simulate_kinematic,
@@ -302,3 +303,20 @@ def test_every_boundary_that_takes_an_input_enforces_its_rule(tmp_path, name):
         path.write_text(f"[grid.surrogate]\n{grid_line}\n")
         with pytest.raises(ValueError, match=rule):
             load_run_config(path)
+
+
+# per input: an infinite value; +inf passes `v_i > 0` and `g > 0`, and -inf
+# passes `a < 0`, unless the rule also asks for a finite value
+INFINITE_INPUTS = {"v_i": math.inf, "a": -math.inf, "delta": math.inf, "mu": math.inf, "g": math.inf}
+
+
+@pytest.mark.parametrize("name", INPUT_RULES)
+def test_non_finite_inputs_break_every_rule(name):
+    rule = re.escape(INPUT_RULES[name][1])
+    for value in (INFINITE_INPUTS[name], math.nan):
+        with pytest.raises(ValueError, match=rule):
+            check_inputs(**{name: value})
+        with pytest.raises(ValueError, match=rule):
+            check_inputs(**{name: np.array([VALID_INPUTS[name], value])})
+        with pytest.raises(ValueError, match=rule):
+            ManeuverInput(**{**VALID_INPUTS, name: value})
