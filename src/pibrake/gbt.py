@@ -10,12 +10,15 @@ Sums are exact.  Each tree's residuals are rounded to integers at a
 power-of-two scale chosen so that every sum over a subset of its rows is an
 integer below 2^52, exact in float64 in any order of addition (integer-
 quantized gradients, after Shi et al. 2022, arXiv:2207.09682).  Each feature
-is binned by its sorted unique values, one ``np.unique`` per fit.  Per level,
-one histogram of counts and sums covers the open nodes of all T trees on
-every feature (histogram split finding, after Chen & Guestrin 2016,
-arXiv:1603.02754).  A split minimizes the children's squared error; ties go
-to the lowest feature index, then the lowest threshold, which is the next
-value present in the node.
+is binned by its sorted unique values, one ``np.unique`` per fit.  Per level
+and feature, one pass covers the open nodes of all T trees: a histogram of
+counts and sums over (open node, bin) cells (histogram split finding, after
+Chen & Guestrin 2016, arXiv:1603.02754) when the cells are no more than the
+(tree, row) pairs, else a running sum over the pairs sorted by node and bin,
+so a feature with a distinct value per row costs no more per level than the
+pairs.  A split minimizes the children's squared error; ties go to the
+lowest feature index, then the lowest threshold, which is the next value
+present in the node.
 
 Determinism is taken seriously: exact sums make fitting bit-for-bit
 invariant under row permutation.  The learner draws no random numbers: one
@@ -69,186 +72,214 @@ class RegressionTree:
         self.value = np.asarray(value, dtype=float)
 
 
-# (open node, histogram column) cells one split-search pass covers; bounds its work arrays
-SPLIT_CELLS = 2**18
+def _split_score(lc, ls, rc, rs, no_split):
+    """The children's ls^2/lc + rs^2/rc (-inf where ``no_split``), in one
+    order of operations for both split searches; overwrites ``rs``."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rs *= rs
+        rs /= rc
+        score = ls * ls
+        score /= lc
+        score += rs
+    score[no_split] = -np.inf
+    return score
 
 
 class _Grower:
     """Grows one round's trees, one per target column, level by level.
 
-    The work is held as (tree, row) pairs: every tree sees every row.  Each
-    feature owns a segment of histogram columns, a leading empty column and
-    then one per bin, so ``column[f, i]`` is row i's column on feature f.
-    The pair-sized and histogram-sized work arrays are allocated once per fit
-    and filled in place, so a round asks the allocator for no large blocks."""
+    The work is held as (tree, row) pairs, pair t * n + i being row i of tree
+    t: every tree sees every row.  Per level, each feature's split search
+    covers the open nodes of all T trees in one of two exact ways, whichever
+    touches fewer entries:
 
-    def __init__(self, values: list[np.ndarray], codes: list[np.ndarray], n_trees: int, cfg: GbtConfig):
+    - a histogram of counts and sums over the (open node, bin) cells, two
+      ``bincount`` passes over the pairs, when the cells are no more than the
+      pairs: few open nodes, or few distinct values;
+    - otherwise a scan: the feature's pairs, kept in bin order, are sorted
+      stably by open node, and one running sum over them gives every node's
+      candidate splits, at a cost linear in the pairs however many distinct
+      values the feature takes.
+
+    Both score a candidate with the same arithmetic on the same exact sums,
+    so they find the same split."""
+
+    def __init__(self, values: list[np.ndarray], codes: np.ndarray, n_trees: int, cfg: GbtConfig):
         self.cfg = cfg
-        widths = [len(v) + 1 for v in values]
-        self.starts = np.cumsum([0] + widths)
-        self.column = np.stack([s + 1 + c for s, c in zip(self.starts, codes)])
-        # a split at column c sends a row right when its column is above c; its
-        # feature and threshold (the bin after c) come from these tables
-        self.feature_at = np.repeat(np.arange(len(values)), widths)
-        self.threshold_at = np.concatenate([np.append(v, np.nan) for v in values])
-        p, n = self.column.shape
-        self.node = np.empty((n_trees, n), dtype=np.intp)  # each pair's node, numbered across the round
-        self.label = np.empty((n_trees, n), dtype=np.intp)  # each pair's open node; n_open once closed
-        self.aux = np.empty((n_trees, n), dtype=np.intp)
-        self.keys = np.empty((p, n_trees, n), dtype=np.intp)  # each (feature, pair)'s cell
-        self.q = np.empty((p, n_trees, n))  # each pair's residual, once per feature
-        self.hist = np.empty((4, 0))  # counts, sums and two scratch rows over (open node, column) cells
-        self.good = np.empty(0, dtype=bool)
+        p, n = codes.shape
+        self.widths = [len(v) for v in values]
+        self.bins = np.tile(codes, n_trees)  # (p, pairs): each pair's bin on each feature
+        order = np.argsort(codes, axis=1, kind="stable")
+        self.by_bin = (order[:, None, :] + n * np.arange(n_trees)[:, None]).reshape(p, -1)
+        self.sorted_bins = np.take_along_axis(self.bins, self.by_bin, axis=1)
+        self.sorted_q = np.empty(self.bins.shape)  # the round's residuals in that order
+        # feature f's bin b holds the value values_flat[value_start[f] + b]
+        self.value_start = np.cumsum([0] + self.widths[:-1])
+        self.values_flat = np.concatenate(values)
 
-    def _cells(self, n_open: int) -> list[np.ndarray]:
-        width = self.starts[-1]
-        size = (n_open + 1) * width
-        if self.hist.shape[1] < size:
-            self.hist = np.empty((4, size))
-            self.good = np.empty(size, dtype=bool)
-        hc, hs, score, rc = (h[:size].reshape(n_open + 1, width) for h in self.hist)
-        good = self.good[: n_open * (width - 1)].reshape(n_open, width - 1)
-        return [hc, hs, score[:n_open, :-1], rc[:n_open, :-1], good]
-
-    def _search(self, count, total):
-        """Best split of each open node: its column (-1 for none), left count and left sum."""
-        group = max(1, SPLIT_CELLS // self.starts[-1] - 1)
-        found = [
-            self._search_nodes(start, count[start : start + group], total[start : start + group])
-            for start in range(0, len(count), group)
-        ]
-        return tuple(np.concatenate(parts) for parts in zip(*found))
-
-    def _search_nodes(self, start, count, total):
-        """``_search`` over the open nodes from ``start`` on, as many as ``count`` has."""
-        msl = self.cfg.min_samples_leaf
+    def _search(self, label, count, total, q):
+        """Best split of each open node: whether it splits, its feature, its
+        right bin (the first bin present in the node above the threshold),
+        its left count and its left sum."""
         n_open = len(count)
-        hc, hs, score, rc, good = self._cells(n_open)
-        # the pairs of other nodes fill a spare last row
-        keys, local = self.keys, self.aux
-        np.subtract(self.label, start, out=local)
-        np.copyto(local, n_open, where=(local < 0) | (local > n_open))
-        local *= self.starts[-1]
-        np.add(local, self.column[:, None, :], out=keys)
-        hc.fill(0.0)
-        hs.fill(0.0)
-        np.add.at(hc.ravel(), keys.ravel(), 1.0)
-        np.add.at(hs.ravel(), keys.ravel(), self.q.ravel())
-        hc, hs = hc[:n_open], hs[:n_open]
-        # running sums within each feature's segment: column c then holds the
-        # count and sum of the node's rows at or below c
-        for a, b in zip(self.starts[:-1], self.starts[1:]):
-            np.cumsum(hc[:, a:b], axis=1, out=hc[:, a:b])
-            np.cumsum(hs[:, a:b], axis=1, out=hs[:, a:b])
-        lc, ls = hc[:, :-1], hs[:, :-1]
-        # a split at c keeps a bin present after c and min_samples_leaf rows
-        # on each side; a segment's last column sees the next one's empty start
-        np.greater(hc[:, 1:], lc, out=good)
-        np.subtract(count[:, None], lc, out=rc)
-        np.greater_equal(lc, msl, out=good, where=good)
-        np.greater_equal(rc, msl, out=good, where=good)
-        score.fill(-np.inf)
-        np.multiply(ls, ls, out=score, where=good)
-        np.divide(score, lc, out=score, where=good)
-        rs = lc  # the left counts are spent: a winner's is count - rc
-        np.subtract(total[:, None], ls, out=rs, where=good)
-        np.multiply(rs, rs, out=rs, where=good)
-        np.divide(rs, rc, out=rs, where=good)
-        np.add(score, rs, out=score, where=good)
-        # the first maximum: lowest feature, then lowest threshold; it must
-        # strictly beat the parent's score
+        best = np.full(n_open, -np.inf)
+        feature = np.zeros(n_open, dtype=np.intp)
+        right_bin = np.zeros(n_open, dtype=np.intp)
+        left_count = np.zeros(n_open)
+        left_sum = np.zeros(n_open)
+        layout = None
+        for f, width in enumerate(self.widths):
+            if n_open * width <= len(q):
+                top, at, lc, ls = self._histogram(f, label, count, total, q)
+            else:
+                layout = layout or self._layout(count, total)
+                top, at, lc, ls = self._scan(f, label, total, layout)
+            # strict: a tie keeps the lower feature
+            better = top > best
+            best[better] = top[better]
+            feature[better] = f
+            right_bin[better] = at[better]
+            left_count[better] = lc[better]
+            left_sum[better] = ls[better]
+        # a node whose residuals are all equal does not split; one that does
+        # must strictly beat its own score
+        lo = np.full(n_open + 1, np.inf)
+        hi = np.full(n_open + 1, -np.inf)
+        np.minimum.at(lo, label, q)
+        np.maximum.at(hi, label, q)
+        won = (best > total * total / count) & (lo[:-1] < hi[:-1])
+        return won, feature, right_bin, left_count, left_sum
+
+    def _histogram(self, f, label, count, total, q):
+        """Feature f's best split of each open node, from (open node, bin) sums:
+        its score (-inf for none), right bin, left count and left sum."""
+        msl = self.cfg.min_samples_leaf
+        n_open, width = len(count), self.widths[f]
+        # the pairs of closed nodes (label n_open) fill a last row, dropped
+        keys = np.multiply(label, width, dtype=np.intp)
+        keys += self.bins[f]
+        cells = (n_open + 1) * width
+        hc = np.bincount(keys, minlength=cells)[: n_open * width].reshape(n_open, width)
+        hs = np.bincount(keys, q, minlength=cells)[: n_open * width].reshape(n_open, width)
+        # a split below bin b needs b present and min_samples_leaf pairs a side
+        lc = np.cumsum(hc, axis=1)
+        lc -= hc
+        ls = np.cumsum(hs, axis=1)
+        ls -= hs
+        lc = lc.astype(float)
+        rc = count[:, None] - lc
+        no_split = (hc == 0) | (lc < msl) | (rc < msl)
+        score = _split_score(lc, ls, rc, total[:, None] - ls, no_split)
+        # the first maximum: the lowest threshold
         at = np.argmax(score, axis=1)
         nodes = np.arange(n_open)
-        won = score[nodes, at] > total * total / count
-        return np.where(won, at, -1), count - rc[nodes, at], ls[nodes, at]
+        return score[nodes, at], at, lc[nodes, at], ls[nodes, at]
+
+    def _layout(self, count, total):
+        """The scan's per-level tables over the open pairs in node order: each
+        node's first position and size, and per position the left and right
+        counts of a split after it, whether either side is too small, and the
+        node's sum."""
+        msl = self.cfg.min_samples_leaf
+        sizes = count.astype(np.intp)
+        starts = np.cumsum(sizes) - sizes
+        lc = np.arange(1.0, sizes.sum() + 1) - np.repeat(starts, sizes)
+        rc = np.repeat(count, sizes) - lc
+        return starts, sizes, lc, rc, (lc < msl) | (rc < msl), np.repeat(total, sizes)
+
+    def _scan(self, f, label, total, layout):
+        """``_histogram``'s result from a running sum over feature f's open
+        pairs in (node, bin) order."""
+        starts, sizes, lc, rc, no_room, node_total = layout
+        n_act = len(lc)
+        # a node's pairs are all of one tree, so they stay in bin order; closed
+        # pairs sort last
+        order = np.argsort(label[self.by_bin[f]], kind="stable")[:n_act]
+        bins = self.sorted_bins[f][order]
+        ls = self.sorted_q[f][order]
+        # running sums restart at each node: its first pair takes off the
+        # sum of the node before, so every partial sum is an exact integer
+        ls[starts[1:]] -= total[:-1]
+        np.cumsum(ls, out=ls)
+        # a split after position j also needs a bin present after j in the node
+        no_split = np.append(bins[:-1] == bins[1:], True)
+        no_split |= no_room
+        score = _split_score(lc, ls, rc, node_total - ls, no_split)
+        # the first maximum: the lowest threshold
+        top = np.maximum.reduceat(score, starts)
+        hits = np.flatnonzero(score == np.repeat(top, sizes))
+        at = hits[np.searchsorted(hits, starts)]
+        return top, bins[np.minimum(at + 1, n_act - 1)], lc[at], ls[at]
 
     def grow(self, q: np.ndarray, shift: np.ndarray) -> list[RegressionTree]:
         """One tree per row of the exact residuals ``q`` (T, n), scaled by 2^shift;
         each pair's leaf value then overwrites its residual in ``q``."""
         cfg = self.cfg
-        msl = cfg.min_samples_leaf
         n_trees, n = q.shape
-        node, label, aux, key = self.node, self.label, self.aux, self.keys[0]
-        column = self.column.ravel()
-        rows = np.arange(n)
-        self.q[:] = q
+        flat = q.ravel()
+        np.take(flat, self.by_bin, out=self.sorted_q)
+        node = np.repeat(np.arange(n_trees), n)  # each pair's node, numbered across the round
+        pair = np.arange(len(node))
 
         # the level's nodes; the roots first, tree t's root is round node t
+        # (n >= 2 * min_samples_leaf and max_depth >= 1 hold, so every root opens)
         tree = np.arange(n_trees)
         count = np.full(n_trees, float(n))
         total = q.sum(axis=1)
-        node[:] = tree[:, None]
-        # a root opens on unequal residuals (n >= 2 * min_samples_leaf and max_depth >= 1 hold)
-        opened = np.flatnonzero(q.min(axis=1) < q.max(axis=1))
+        opened = tree
         n_nodes = np.ones(n_trees, dtype=np.intp)
         first = 0  # round number of the level's first node
         levels = []
         for depth in range(cfg.max_depth + 1):
             size = len(tree)
-            split_at = np.full(size, -1)
+            feature = np.full(size, -1)  # -1 marks a leaf
+            right_bin = np.zeros(size, dtype=np.intp)
             lo_id = np.full(size, -1)
             hi_id = np.full(size, -1)
-            levels.append((tree, count, total, split_at, lo_id, hi_id))
+            levels.append((tree, count, total, feature, right_bin, lo_id, hi_id))
             n_open = len(opened)
             if not n_open:
                 break
-            lookup = np.full(first + size, n_open)
+            # each pair's open node, n_open once its node is closed
+            lookup = np.full(first + size, n_open, dtype=np.min_scalar_type(n_open))
             lookup[first + opened] = np.arange(n_open)
-            np.take(lookup, node, out=label)
-            s_at, s_lc, s_ls = self._search(count[opened], total[opened])
-            split = s_at >= 0
-            at = opened[split]
+            label = lookup[node]
+            won, s_feature, s_bin, s_lc, s_ls = self._search(label, count[opened], total[opened], flat)
+            at = opened[won]
             if not at.size:
                 break
             # children, left then right, numbered per tree after every node so far
             ctree = np.repeat(tree[at], 2)
             cnid = n_nodes[ctree] + np.arange(2 * at.size) - np.searchsorted(ctree, ctree)
             n_nodes += np.bincount(ctree, minlength=n_trees)
-            split_at[at] = s_at[split]
+            feature[at] = s_feature[won]
+            right_bin[at] = s_bin[won]
             lo_id[at] = cnid[0::2]
             hi_id[at] = cnid[1::2]
-            s_lc, s_ls = s_lc[split], s_ls[split]
+            s_lc, s_ls = s_lc[won], s_ls[won]
             ccount = np.column_stack([s_lc, count[at] - s_lc]).ravel()
             ctotal = np.column_stack([s_ls, total[at] - s_ls]).ravel()
 
             # each pair of a split node moves to its left child, or to the right
-            # one when its column on the split's feature lies above the split's
-            # column; the pairs of the other open nodes stay.  The last entry
-            # of each table serves the closed nodes' pairs, which do not move.
+            # one when its bin on the split's feature is the right bin or above;
+            # the last entry of each table serves the pairs that stay
             nxt = first + size  # round number of the first child
-            width = len(self.feature_at)
-            cut = np.append(np.where(split, s_at, width), width)
-            feat = self.feature_at[np.minimum(cut, width - 1)]
-            dest = np.append(np.where(split, nxt + 2 * (np.cumsum(split) - 1), first + opened), 0)
-            np.take(feat, label, out=aux)
-            aux *= n
-            aux += rows
-            np.take(column, aux, out=key)
-            np.take(cut, label, out=aux)
-            go_right = key > aux
-            np.take(dest, label, out=key)
-            key += go_right
-            np.copyto(node, key, where=label < n_open)
+            feat = np.append(np.where(won, s_feature, 0), 0)
+            cut = np.append(np.where(won, s_bin, len(self.values_flat)), len(self.values_flat))
+            dest = np.append(np.where(won, nxt + 2 * (np.cumsum(won) - 1), first + opened), 0)
+            go_right = np.take(self.bins, feat[label] * len(pair) + pair) >= cut[label]
+            np.copyto(node, dest[label] + go_right, where=label < n_open)
 
-            # a child opens below max_depth with room for two leaves and unequal residuals
-            opens = (depth + 1 < cfg.max_depth) & (ccount >= 2 * msl)
-            if opens.any():
-                np.subtract(node, nxt, out=key)
-                np.copyto(key, 2 * at.size, where=key < 0)
-                lo = np.full(2 * at.size + 1, np.inf)
-                hi = np.full(2 * at.size + 1, -np.inf)
-                np.minimum.at(lo, key.ravel(), q.ravel())
-                np.maximum.at(hi, key.ravel(), q.ravel())
-                opens &= lo[:-1] < hi[:-1]
-            opened = np.flatnonzero(opens)
+            # a child opens below max_depth with room for two leaves
+            opened = np.flatnonzero((depth + 1 < cfg.max_depth) & (ccount >= 2 * cfg.min_samples_leaf))
             tree, count, total, first = ctree, ccount, ctotal, nxt
 
-        tree, count, total, split_at, left, right = map(np.concatenate, zip(*levels))
-        leaf = split_at < 0
-        feature = np.where(leaf, -1, self.feature_at[split_at])
-        threshold = np.where(leaf, 0.0, self.threshold_at[split_at])
+        tree, count, total, feature, right_bin, left, right = map(np.concatenate, zip(*levels))
+        leaf = feature < 0
+        # the threshold is the value of the right bin: the next one present in the node
+        threshold = np.where(leaf, 0.0, self.values_flat[self.value_start[feature] + right_bin])
         value = np.where(leaf, np.ldexp(total, -shift[tree]) / count, 0.0)
-        np.take(value, node, out=q)
+        np.take(value, node, out=flat)
         order = np.argsort(tree, kind="stable")  # each tree's nodes in creation order: its numbering
         bounds = np.cumsum(n_nodes)[:-1]
         parts = (np.split(c[order], bounds) for c in (feature, threshold, left, right, value))
@@ -335,7 +366,7 @@ def fit(x: np.ndarray, y: np.ndarray, cfg: GbtConfig = GbtConfig()) -> Ensemble:
     n_trees = targets.shape[0]
     base = np.array([_ordered_sum(t) for t in targets]) / n
     pred = np.repeat(base[:, None], n, axis=1)
-    grower = _Grower([v for v, _ in bins], [c for _, c in bins], n_trees, cfg)
+    grower = _Grower([v for v, _ in bins], np.stack([c for _, c in bins]), n_trees, cfg)
     # |q| <= 2^(52 - k) with n < 2^k, so every subset sum is an integer below 2^52
     k = n.bit_length()
     trees: list[RegressionTree] = []

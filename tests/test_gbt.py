@@ -178,16 +178,29 @@ def test_lockstep_fit_equals_one_column_fits():
     np.testing.assert_array_equal(shuffled.predict(probe), got)
 
 
-def test_split_search_in_node_groups_gives_the_same_trees(monkeypatch):
+def test_histogram_and_scan_searches_find_the_same_splits():
     rng = np.random.default_rng(14)
-    x = rng.uniform(0, 1, (300, 2))
-    y = np.column_stack([np.sin(4 * x[:, 0]), x[:, 0] * x[:, 1]])
-    cfg = GbtConfig(n_rounds=8, max_depth=5, min_samples_leaf=2)
-    whole = fit(x, y, cfg)
-    # 2 features of 300 distinct values: 602 columns, so 3 open nodes per pass
-    monkeypatch.setattr(gbt, "SPLIT_CELLS", 4 * 602)
-    grouped = fit(x, y, cfg)
-    assert all(_same_trees(a, b) for a, b in zip(grouped.trees, whole.trees))
+    n, n_trees, n_open = 300, 2, 6
+    # one feature of few distinct values, one of a value per row
+    x = np.column_stack([rng.choice(np.linspace(0, 1, 7), n), rng.uniform(0, 1, n)])
+    values, codes = zip(*(np.unique(c, return_inverse=True) for c in x.T))
+    grower = gbt._Grower(list(values), np.stack(codes), n_trees, GbtConfig(min_samples_leaf=3))
+    # small integer residuals, so equal scores and the first-maximum rule come up
+    q = rng.integers(-20, 20, n_trees * n).astype(float)
+    np.take(q, grower.by_bin, out=grower.sorted_q)
+    # open node k belongs to tree k % 2; label n_open marks the pairs of closed nodes
+    label = 2 * rng.integers(0, 4, n_trees * n) + np.repeat(np.arange(n_trees), n)
+    label = np.minimum(label, n_open).astype(np.uint8)
+    count = np.bincount(label, minlength=n_open + 1)[:n_open].astype(float)
+    total = np.bincount(label, q, minlength=n_open + 1)[:n_open]
+    layout = grower._layout(count, total)
+    for f in range(2):
+        top, *found = grower._histogram(f, label, count, total, q)
+        scan_top, *scan_found = grower._scan(f, label, total, layout)
+        np.testing.assert_array_equal(top, scan_top)
+        assert np.isfinite(top).all()
+        for a, b in zip(found, scan_found):  # right bin, left count, left sum
+            np.testing.assert_array_equal(a, b)
 
 
 def test_min_samples_leaf_respected():
