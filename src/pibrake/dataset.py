@@ -158,10 +158,12 @@ def _product(axes: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
 
 def axis_input(source: str, axis: str, spec: tuple) -> tuple[str, np.ndarray]:
     """The input name and values of one grid axis of the source; an a_g axis
-    gives the braking deceleration a = -g * a_g."""
+    gives the braking deceleration a = -g * a_g, -inf where that overflows
+    (for the range check to reject)."""
     values = np.array(spec, dtype=float) if (source, axis) in LISTED_AXES else np.linspace(*spec)
     if axis == "a_g":
-        return "a", -STANDARD_GRAVITY * values
+        with np.errstate(over="ignore"):
+            return "a", -STANDARD_GRAVITY * values
     return axis, values
 
 

@@ -8,8 +8,11 @@ merged data).  All errors are mean absolute errors in physical units;
 predictions made in dimensionless space are rescaled by the test vehicle's
 wheelbase first.
 
-Every study performs a leakage audit: no test record identity may appear
-in any training split, or in the merged training data.
+Each study first lists its fit jobs, a (scheme, training set, output
+columns) triple per ensemble, then hands them to one function that fits
+each job and scores it on the study's test sets.  Every study performs a
+leakage audit beforehand: no test record identity may appear in any
+training split, or in the merged training data.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ import numpy as np
 
 from . import gbt
 from .dataset import Dataset, merge, split
-from .features import Pipeline, SCHEME_NAMES, make_pipeline
-from .gbt import Ensemble, GbtConfig
+from .features import SCHEME_NAMES, make_pipeline
+from .gbt import GbtConfig
 
 MERGED = "MERGED"
 
@@ -33,6 +36,7 @@ RESERVED_NAMES = (MERGED, "own", "merged")
 KINDS = ("self", "cross", "shared")
 
 OUTPUT_COLUMNS = {"X": 0, "Y": 1, "theta": 2}
+ALL_OUTPUTS = tuple(OUTPUT_COLUMNS.values())
 
 TRAIN_FRACTION = 0.8
 
@@ -99,18 +103,17 @@ class ExperimentReport:
         raise KeyError((model_vehicle, data_vehicle))
 
 
-def mae(actual: np.ndarray, predicted: np.ndarray) -> tuple[float, float, float]:
-    """Per-output mean absolute error between two (n, 3) pose arrays."""
+def mae(actual: np.ndarray, predicted: np.ndarray) -> tuple[float, ...]:
+    """Per-column mean absolute error between two (n, k) arrays of pose outputs."""
     a = np.asarray(actual, dtype=float)
     p = np.asarray(predicted, dtype=float)
     if a.shape != p.shape:
         raise ValueError(f"length mismatch: {a.shape} vs {p.shape}")
-    if a.ndim != 2 or a.shape[1] != 3:
-        raise ValueError(f"expected (n, 3) poses, got {a.shape}")
+    if a.ndim != 2 or a.shape[1] == 0:
+        raise ValueError(f"expected (n, k) pose outputs, got {a.shape}")
     if a.shape[0] == 0:
         raise ValueError("empty pose lists")
-    err = np.abs(a - p).mean(axis=0)
-    return (float(err[0]), float(err[1]), float(err[2]))
+    return tuple(float(e) for e in np.abs(a - p).mean(axis=0))
 
 
 def audit_no_leakage(
@@ -144,27 +147,29 @@ def _split_all(
     return trains, tests, merged
 
 
-def _fit_model(
-    scheme: str, train: Dataset, cfg: GbtConfig, outputs: Sequence[int] = (0, 1, 2)
-) -> tuple[Pipeline, Ensemble]:
-    """One ensemble over the requested target columns, fit in one call."""
-    pipe = make_pipeline(scheme).fit(train)
-    x = pipe.input_matrix(train).values
-    y = pipe.target_matrix(train)
-    return pipe, gbt.fit(x, y[:, list(outputs)], cfg)
-
-
-def _predict_physical(
-    pipe: Pipeline, ensemble: Ensemble, test: Dataset, outputs: Sequence[int] = (0, 1, 2)
-) -> np.ndarray:
-    """(n, len(outputs)) predictions for the test rows, in physical units."""
-    x = pipe.input_matrix(test).values
-    return pipe.inverse_targets(ensemble.predict(x), test, outputs)
-
-
 def _actual_pose(test: Dataset) -> np.ndarray:
     c = test.columns()
     return np.column_stack([c["X"], c["Y"], c["theta"]])
+
+
+def _fit_and_score(
+    jobs: Sequence[tuple[str, Dataset, Sequence[int]]], tests: Sequence[Dataset], cfg: GbtConfig
+) -> list[list[tuple[float, ...]]]:
+    """Fit each (scheme, training set, output columns) job, one pipeline and
+    one ensemble over those columns, and return its per-column MAE on every
+    test set, predictions rescaled to physical units first."""
+    actual = [_actual_pose(test) for test in tests]
+    scores = []
+    for scheme, train, outputs in jobs:
+        cols = list(outputs)
+        pipe = make_pipeline(scheme).fit(train)
+        ensemble = gbt.fit(pipe.input_matrix(train).values, pipe.target_matrix(train)[:, cols], cfg)
+        row = []
+        for test, pose in zip(tests, actual):
+            predicted = ensemble.predict(pipe.input_matrix(test).values)
+            row.append(mae(pose[:, cols], pipe.inverse_targets(predicted, test, cols)))
+        scores.append(row)
+    return scores
 
 
 def run_matrix(
@@ -181,14 +186,13 @@ def run_matrix(
     source = datasets[names[0]].source
     trains, tests, merged = _split_all(datasets, seed)
     train_by_model = {**trains, MERGED: merged}
-    models = {m: _fit_model(scheme, d, cfg) for m, d in train_by_model.items()}
-
-    cells = []
-    for model_name, (pipe, ensemble) in models.items():
-        for data_name, test in tests.items():
-            predicted = _predict_physical(pipe, ensemble, test)
-            mx, my, mth = mae(_actual_pose(test), predicted)
-            cells.append(PredictionCell(model_name, data_name, mx, my, mth))
+    jobs = [(scheme, train, ALL_OUTPUTS) for train in train_by_model.values()]
+    scores = _fit_and_score(jobs, list(tests.values()), cfg)
+    cells = [
+        PredictionCell(model_name, data_name, *maes)
+        for model_name, row in zip(train_by_model, scores)
+        for data_name, maes in zip(tests, row)
+    ]
 
     summary = {
         kind: tuple(
@@ -232,34 +236,29 @@ def learning_curve(
     The 80/20 split is fixed by ``seed``; each (fraction, repeat) draws its
     own seeded subset of the training split.  At fraction 1.0 every repeat
     uses the whole training split, matching the matrix run's self cell, so
-    one fit serves them all.
+    one fit serves them all.  Every subset is drawn, and every fraction's
+    row count checked, before anything is fit.
     """
     check_curve(fractions, repeats)
     check_vehicles(datasets, "learning curve", vehicle)
     trains, tests, _ = _split_all({vehicle: datasets[vehicle]}, seed)
     train, test = trains[vehicle], tests[vehicle]
-    actual = _actual_pose(test)
-    points = []
+    subsets = []  # per fraction, the training set of each repeat, or one set every repeat shares
     for fi, frac in enumerate(fractions):
-        maes = np.zeros((repeats, 3))
-        for rep in range(repeats):
-            if frac >= 1.0 and rep:
-                maes[rep] = maes[0]  # the learner is deterministic: same split, same model
-                continue
-            if frac >= 1.0:
-                sub = train
-            else:
-                m = int(round(frac * len(train)))
-                if m < 2 * cfg.min_samples_leaf:
-                    raise ValueError(
-                        f"fraction {frac} keeps {m} rows; need >= {2 * cfg.min_samples_leaf}"
-                    )
-                rng = np.random.default_rng([seed, fi, rep])
-                idx = np.sort(rng.choice(len(train), size=m, replace=False))
-                sub = train.take(idx)
-            pipe, ensemble = _fit_model(scheme, sub, cfg)
-            maes[rep] = mae(actual, _predict_physical(pipe, ensemble, test))
-        mx, my, mth = maes.mean(axis=0)
+        if frac >= 1.0:
+            subsets.append([train])  # the learner is deterministic: same split, same model
+            continue
+        m = int(round(frac * len(train)))
+        if m < 2 * cfg.min_samples_leaf:
+            raise ValueError(f"fraction {frac} keeps {m} rows; need >= {2 * cfg.min_samples_leaf}")
+        rngs = [np.random.default_rng([seed, fi, rep]) for rep in range(repeats)]
+        subsets.append([train.take(np.sort(r.choice(len(train), size=m, replace=False))) for r in rngs])
+    jobs = [(scheme, sub, ALL_OUTPUTS) for subs in subsets for sub in subs]
+    scores = iter(_fit_and_score(jobs, [test], cfg))
+    points = []
+    for frac, subs in zip(fractions, subsets):
+        maes = [next(scores)[0] for _ in subs] * (repeats // len(subs))  # a shared fit fills each repeat
+        mx, my, mth = np.array(maes).mean(axis=0)
         points.append(CurvePoint(float(frac), float(mx), float(my), float(mth)))
     return points
 
@@ -294,26 +293,15 @@ def comparative_study(
     if output not in OUTPUT_COLUMNS:
         raise ValueError(f"output must be one of {list(OUTPUT_COLUMNS)}")
     check_vehicles(datasets, "comparative study", target_vehicle)
-    names = list(datasets)
     col = OUTPUT_COLUMNS[output]
     trains, tests, merged = _split_all(datasets, seed)
-    test = tests[target_vehicle]
-    actual = _actual_pose(test)[:, col]
-
-    sources: dict[str, Dataset] = {"own": trains[target_vehicle]}
-    for name in names:
-        if name != target_vehicle:
-            sources[name] = trains[name]
-    sources["merged"] = merged
-
+    others = {name: train for name, train in trains.items() if name != target_vehicle}
+    sources = {"own": trains[target_vehicle], **others, "merged": merged}
+    jobs = [(scheme, train, (col,)) for scheme in schemes for train in sources.values()]
+    scores = iter(_fit_and_score(jobs, [tests[target_vehicle]], cfg))
     study = ComparativeStudy(list(sources))
     for scheme in schemes:
-        row = {}
-        for label, train_ds in sources.items():
-            pipe, ensemble = _fit_model(scheme, train_ds, cfg, (col,))
-            physical = _predict_physical(pipe, ensemble, test, (col,))[:, 0]
-            row[label] = float(np.mean(np.abs(actual - physical)))
-        study.rows[scheme] = row
+        study.rows[scheme] = {label: next(scores)[0][0] for label in sources}
     return study
 
 
@@ -321,20 +309,23 @@ def _fmt(v: float) -> str:
     return f"{v:.4f}"
 
 
+def _write_lines(path: Path, lines: Sequence[str]) -> Path:
+    """Write ``lines`` to ``path``, one per line, making its directory first."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
 def emit_matrix_report(report: ExperimentReport, directory: str | Path) -> tuple[Path, Path]:
     """Write matrix.csv (machine, full precision) and matrix.md (human)."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    csv_path = directory / "matrix.csv"
-    md_path = directory / "matrix.md"
-
     lines = ["model_vehicle,data_vehicle,kind,mae_x,mae_y,mae_theta"]
     for c in report.cells:
         lines.append(
             f"{c.model_vehicle},{c.data_vehicle},{c.kind},"
             f"{c.mae_x!r},{c.mae_y!r},{c.mae_theta!r}"
         )
-    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    csv_path = _write_lines(directory / "matrix.csv", lines)
 
     vehicles = list(dict.fromkeys(c.data_vehicle for c in report.cells))
     models = list(dict.fromkeys(c.model_vehicle for c in report.cells))
@@ -360,26 +351,18 @@ def emit_matrix_report(report: ExperimentReport, directory: str | Path) -> tuple
     for kind in KINDS:
         s = report.summary[kind]
         md.append(f"| {kind} | {_fmt(s[0])} | {_fmt(s[1])} | {_fmt(s[2])} |")
-    md_path.write_text("\n".join(md) + "\n", encoding="utf-8")
-    return csv_path, md_path
+    return csv_path, _write_lines(directory / "matrix.md", md)
 
 
 def emit_curve_csv(points: Sequence[CurvePoint], path: str | Path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     lines = ["fraction,mae_x,mae_y,mae_theta"]
     for p in points:
         lines.append(f"{p.fraction!r},{p.mae_x!r},{p.mae_y!r},{p.mae_theta!r}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    return _write_lines(Path(path), lines)
 
 
 def emit_comparative_csv(study: ComparativeStudy, path: str | Path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    header = ["scheme"] + study.training_sources
-    lines = [",".join(header)]
+    lines = [",".join(["scheme"] + study.training_sources)]
     for scheme, row in study.rows.items():
         lines.append(",".join([scheme] + [repr(row[s]) for s in study.training_sources]))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    return _write_lines(Path(path), lines)

@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 
 from pibrake.config import DEFAULT_FRACTIONS, RunConfig, load_run_config
@@ -118,12 +120,15 @@ def test_bad_vehicle_line(tmp_path):
         ("[grid.kinematic]\nv_i = 1.0, inf, 3\n", ["[grid.kinematic] v_i", "finite", "'1.0, inf, 3'"]),
         # finite as written, but a = -g * a_g overflows to -inf
         ("[grid.kinematic]\na_g = 1e308, 1e308, 1\n", ["[grid.kinematic] a_g", "out of range", "finite"]),
+        ("[grid.surrogate]\na_g = 0.1, 1e308, 2\n", ["[grid.surrogate] a_g", "1e+308 is out of range"]),
     ],
 )
 def test_unknown_or_invalid_entries_rejected(tmp_path, text, names):
     path = tmp_path / "run.conf"
     path.write_text(text)
-    with pytest.raises(ValueError) as err:
+    # the loader's own error, not a numpy warning raised on the way to it
+    with warnings.catch_warnings(), pytest.raises(ValueError) as err:
+        warnings.simplefilter("error")
         load_run_config(path)
     for name in names + [str(path)]:
         assert name in str(err.value)

@@ -43,6 +43,10 @@ def test_mae_basics():
         mae(a, p[:1])
     with pytest.raises(ValueError, match="empty"):
         mae(np.empty((0, 3)), np.empty((0, 3)))
+    # one column, as the comparative study scores its single output
+    assert mae(a[:, 1:2], np.array([(0.5,), (2.0,)])) == (0.75,)
+    with pytest.raises(ValueError, match=r"\(n, k\)"):
+        mae(a[:, 1], p[:, 1])
 
 
 def test_cell_kind_enforced():
@@ -145,13 +149,23 @@ def test_learning_curve_fits_the_whole_split_once(tiny_datasets, monkeypatch):
     assert len(calls) == 3 + 1
 
 
-def test_learning_curve_validation(tiny_datasets):
+def test_learning_curve_validation(tiny_datasets, monkeypatch):
     with pytest.raises(ValueError, match="fractions"):
         learning_curve(tiny_datasets, "pi", "small", [0.0], repeats=1, cfg=FAST_CFG, seed=0)
     with pytest.raises(ValueError, match="repeats"):
         learning_curve(tiny_datasets, "pi", "small", [0.5], repeats=0, cfg=FAST_CFG, seed=0)
-    with pytest.raises(ValueError, match="rows"):
-        learning_curve(tiny_datasets, "pi", "small", [0.01], repeats=1, cfg=FAST_CFG, seed=0)
+    calls = []
+    original = gbt.fit
+
+    def counting_fit(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gbt, "fit", counting_fit)
+    # a fraction that keeps too few rows fails before any fraction is fit
+    with pytest.raises(ValueError, match="fraction 0.01 keeps 2 rows"):
+        learning_curve(tiny_datasets, "pi", "small", [0.5, 0.01], repeats=2, cfg=FAST_CFG, seed=0)
+    assert calls == []
 
 
 def test_learning_curve_deterministic(tiny_datasets):
